@@ -132,7 +132,7 @@ std::string Fmt(double v, int precision = 1);
 ///
 ///   {"schema": "cdb-bench/v1", "bench": <name>,
 ///    "measurements": [{"label":..., "params": {...}, "values": {...}}],
-///    "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}}}
+///    "metrics": {"counters": {...}, "gauges": {...}}}
 ///
 /// If the flag value does not end in ".json" it names a directory and the
 /// artifact is written as <dir>/BENCH_<name>.json.

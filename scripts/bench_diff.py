@@ -26,8 +26,8 @@ Per-key band overrides: --band 'PATTERN=F' (fnmatch, first match wins)
 where PATTERN is matched against "bench/label/key", "label/key", and
 "key". --band 'publish/p99_ms=1.0' allows publish p99 to double.
 
-metrics.counters are deterministic and diffed exactly; gauges and
-histograms are reporting surface, not gate surface, and are skipped.
+metrics.counters are deterministic and diffed exactly; gauges are
+reporting surface, not gate surface, and are skipped.
 
 A measurement row or counter present in baseline but missing from the
 candidate fails the gate (coverage must not silently shrink); rows only
@@ -303,7 +303,7 @@ def self_test():
                         "appends_per_s": 2300000.0}},
         ],
         "metrics": {"counters": {"dual.refine.lp_calls": 4181},
-                    "gauges": {"noise": 1}, "histograms": {}},
+                    "gauges": {"noise": 1}},
     }
     import copy
     failures = []

@@ -14,10 +14,7 @@ The schema (see bench/harness.h):
                        "params": {"<k>": <number>, ...},
                        "values": {"<k>": <number>, ...}}, ...],
      "metrics": {"counters": {"<name>": <int>, ...},
-                 "gauges": {"<name>": <number>, ...},
-                 "histograms": {"<name>": {"bounds": [...], "counts": [...],
-                                           "count": <int>, "sum": <number>},
-                                ...}}}
+                 "gauges": {"<name>": <number>, ...}}}
 
 Stdlib only; runs under the ctest entry `check_bench_json_selftest`.
 """
@@ -107,35 +104,6 @@ def _check_measurement(i, m, errors):
     if isinstance(values, dict):
         _check_filter_precision(f"{where}.values", values, errors)
         _check_overload_ledger(f"{where}.values", values, errors)
-
-
-def _check_histogram(name, h, errors):
-    where = f"metrics.histograms.{name}"
-    if not isinstance(h, dict):
-        errors.append(f"{where}: expected an object")
-        return
-    bounds = h.get("bounds")
-    counts = h.get("counts")
-    if not isinstance(bounds, list) or not all(_is_number(b) for b in bounds):
-        errors.append(f"{where}.bounds: expected an array of numbers")
-        return
-    if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-        errors.append(f"{where}.bounds: not strictly increasing")
-    if not isinstance(counts, list) or not all(_is_number(c) for c in counts):
-        errors.append(f"{where}.counts: expected an array of numbers")
-        return
-    # One overflow bucket beyond the explicit bounds.
-    if len(counts) != len(bounds) + 1:
-        errors.append(
-            f"{where}: {len(counts)} counts for {len(bounds)} bounds "
-            f"(want bounds+1)")
-    if not _is_number(h.get("count")):
-        errors.append(f"{where}.count: expected a number")
-    elif isinstance(counts, list) and sum(counts) != h["count"]:
-        errors.append(f"{where}: bucket counts sum to {sum(counts)}, "
-                      f"count says {h['count']}")
-    if not _is_number(h.get("sum")):
-        errors.append(f"{where}.sum: expected a number")
 
 
 def _check_refine_rows(bench, doc, errors):
@@ -639,12 +607,6 @@ def validate(doc):
     else:
         _check_number_map(metrics.get("counters"), "metrics.counters", errors)
         _check_number_map(metrics.get("gauges"), "metrics.gauges", errors)
-        hists = metrics.get("histograms")
-        if not isinstance(hists, dict):
-            errors.append("metrics.histograms: expected an object")
-        else:
-            for name, h in hists.items():
-                _check_histogram(name, h, errors)
     rule = _SEMANTIC_RULES.get(doc.get("bench"))
     if rule is not None:
         rule(doc, errors)
@@ -673,10 +635,6 @@ _GOOD = {
     "metrics": {
         "counters": {"dual.refine.lp_calls": 4181},
         "gauges": {"relation.resident_frames": 64},
-        "histograms": {
-            "lat": {"bounds": [1.0, 10.0], "counts": [3, 2, 1],
-                    "count": 6, "sum": 27.5},
-        },
     },
 }
 
@@ -696,7 +654,7 @@ _GOOD_MICRO = {
          "values": {"ns_per_candidate": 840.0, "pages_per_candidate": 0.12,
                     "candidates": 7200, "accepts": 996}},
     ],
-    "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+    "metrics": {"counters": {}, "gauges": {}},
 }
 
 
@@ -740,7 +698,7 @@ _GOOD_THROUGHPUT = {
          "values": {"ns_per_candidate": 840.0, "pages_per_candidate": 0.12,
                     "candidates": 7200, "accepts": 996}},
     ],
-    "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+    "metrics": {"counters": {}, "gauges": {}},
 }
 
 
@@ -801,8 +759,7 @@ _GOOD_ONLINE = {
                     "depth_avg": 105.8, "sessions_drained": 2,
                     "drain_ms": 1.7}},
     ],
-    "metrics": {"counters": {}, "gauges": {"dual.handicap.staleness": 235},
-                "histograms": {}},
+    "metrics": {"counters": {}, "gauges": {"dual.handicap.staleness": 235}},
 }
 
 
@@ -832,12 +789,6 @@ def self_test():
     broken(lambda d: d["measurements"][0]["params"].update(n="2000"),
            "string where a number belongs")
     broken(lambda d: d["measurements"][0].update(values={}), "empty values")
-    broken(lambda d: d["metrics"]["histograms"]["lat"].update(counts=[1, 2]),
-           "counts/bounds arity mismatch")
-    broken(lambda d: d["metrics"]["histograms"]["lat"].update(count=99),
-           "count disagrees with bucket sum")
-    broken(lambda d: d["metrics"]["histograms"]["lat"].update(
-        bounds=[10.0, 1.0]), "unsorted bounds")
     broken(lambda d: d.pop("metrics"), "missing metrics")
     broken(lambda d: d["measurements"][0]["values"].update(precision=0),
            "precision of zero (an empty candidate set is vacuously 1)")

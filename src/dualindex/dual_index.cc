@@ -344,7 +344,7 @@ Status DualIndex::Insert(TupleId id, const GeneralizedTuple& tuple) {
       CDB_RETURN_IF_ERROR(FoldHandicaps(i, i + 1, tuple, tops[i], bots[i]));
     }
   }
-  return MaybeAutoCompact();
+  return Status::OK();
 }
 
 Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
@@ -371,7 +371,7 @@ Status DualIndex::Remove(TupleId id, const GeneralizedTuple& tuple) {
     // (which is why Remove must run before the relation's Delete) and
     // stay exact.
   }
-  return MaybeAutoCompact();
+  return Status::OK();
 }
 
 // --- Sweeps ------------------------------------------------------------------
@@ -901,22 +901,6 @@ void DualIndex::ExportStalenessMetrics() const {
   obs::GlobalMetrics()
       .gauge("dual.handicap.staleness")
       ->Set(static_cast<double>(handicap_staleness()));
-}
-
-Status DualIndex::MaybeAutoCompact() {
-  if (options_.incremental_handicaps ||
-      options_.handicap_staleness_budget == 0) {
-    return Status::OK();
-  }
-  if (handicap_staleness() <= options_.handicap_staleness_budget) {
-    return Status::OK();
-  }
-  // Budget exceeded: restore exact handicaps now (ResetHandicaps zeroes the
-  // per-tree staleness counters, so the budget re-arms automatically).
-  CDB_RETURN_IF_ERROR(RebuildHandicaps());
-  obs::GlobalMetrics().counter("dual.handicap.compactions")->Increment();
-  ExportStalenessMetrics();
-  return Status::OK();
 }
 
 Status DualIndex::RebuildHandicaps() {

@@ -89,15 +89,6 @@ struct DualIndexOptions {
   /// on, RebuildHandicaps() is a no-op compaction — values never go stale.
   /// Persisted in the trees' meta pages; Open() rederives it from there.
   bool incremental_handicaps = false;
-
-  /// Staleness budget for ordinary (non-augmented) trees (ISSUE 5,
-  /// ROADMAP item): when handicap_staleness() exceeds this after an
-  /// Insert/Remove, the index runs RebuildHandicaps() automatically and
-  /// increments the "dual.handicap.compactions" counter. 0 (the default)
-  /// disables auto-compaction — staleness then accumulates until an
-  /// explicit rebuild, exactly as before. Ignored with
-  /// incremental_handicaps (staleness is always 0 there).
-  uint64_t handicap_staleness_budget = 0;
 };
 
 /// Everything needed to reopen a DualIndex from its pager: the slope set,
@@ -194,10 +185,8 @@ class DualIndex {
   uint64_t handicap_staleness() const;
 
   /// Publishes handicap_staleness() as the "dual.handicap.staleness" gauge.
-  /// Export-path only — Insert/Remove/Select never call it unless a
-  /// triggered staleness budget just compacted (the gauge then reflects
-  /// the post-rebuild value): serial bench artifacts that predate this
-  /// metric stay byte-identical.
+  /// Export-path only — Insert/Remove/Select never call it, so serial
+  /// bench artifacts that predate this metric stay byte-identical.
   void ExportStalenessMetrics() const;
 
   /// Runs BPlusTree::CheckInvariants on all 2k trees (and the vertical
@@ -284,11 +273,6 @@ class DualIndex {
   // Installs the AssignmentFn of every augmented tree (refetches the tuple
   // from the relation and delegates to TreeAssignments).
   void RegisterAssignmentFns();
-
-  // Insert/Remove tail: triggers RebuildHandicaps() when the configured
-  // staleness budget is exceeded (see
-  // DualIndexOptions::handicap_staleness_budget).
-  Status MaybeAutoCompact();
 
   // Sweeps tree `tree` starting at `intercept`: upward collects entries with
   // key >= intercept, downward key < intercept... (exact semantics in .cc).

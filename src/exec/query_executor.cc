@@ -89,10 +89,19 @@ void QueryExecutor::WorkerLoop() {
           (*batch->on_degrade)(i);
         }
         if (batch->per_item_sessions) {
+          // A session that waited for a publish held the earlier ones
+          // across the wait, and the writer's next publish of those pagers
+          // would then wait for this whole item. Reopen until none waited
+          // while others were held.
           std::vector<std::unique_ptr<PagerReadSession>> item_sessions;
           item_sessions.reserve(pagers.size());
-          for (Pager* p : pagers) {
-            item_sessions.push_back(std::make_unique<PagerReadSession>(p));
+          while (item_sessions.size() < pagers.size()) {
+            item_sessions.push_back(std::make_unique<PagerReadSession>(
+                pagers[item_sessions.size()]));
+            if (item_sessions.size() > 1 &&
+                item_sessions.back()->waited_for_publish()) {
+              while (!item_sessions.empty()) item_sessions.pop_back();
+            }
           }
           (*batch->job)(i);
         } else {

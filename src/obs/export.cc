@@ -110,23 +110,17 @@ std::string PromValue(double v) {
   return FormatDouble(v);
 }
 
-// "{a="x",b="y"}" or "" without labels; `extra` appends one more pair
-// (the histogram `le` label).
-std::string LabelBlock(const std::vector<PrometheusLabel>& labels,
-                       const PrometheusLabel* extra) {
-  if (labels.empty() && extra == nullptr) return "";
+// "{a="x",b="y"}", or "" without labels.
+std::string LabelBlock(const std::vector<PrometheusLabel>& labels) {
+  if (labels.empty()) return "";
   std::string out = "{";
-  bool first = true;
-  auto append = [&](const PrometheusLabel& l) {
-    if (!first) out += ',';
-    first = false;
+  for (const PrometheusLabel& l : labels) {
+    if (out.size() > 1) out += ',';
     out += SanitizeMetricName(l.name);
     out += "=\"";
     out += EscapeLabelValue(l.value);
     out += '"';
-  };
-  for (const PrometheusLabel& l : labels) append(l);
-  if (extra != nullptr) append(*extra);
+  }
   out += '}';
   return out;
 }
@@ -136,7 +130,7 @@ std::string LabelBlock(const std::vector<PrometheusLabel>& labels,
 void WritePrometheus(const MetricsSnapshot& snapshot,
                      const std::vector<PrometheusLabel>& labels,
                      std::string* out) {
-  const std::string plain = LabelBlock(labels, nullptr);
+  const std::string plain = LabelBlock(labels);
   for (const auto& [name, value] : snapshot.counters) {
     const std::string n = SanitizeMetricName(name);
     *out += "# TYPE " + n + " counter\n";
@@ -146,20 +140,6 @@ void WritePrometheus(const MetricsSnapshot& snapshot,
     const std::string n = SanitizeMetricName(name);
     *out += "# TYPE " + n + " gauge\n";
     *out += n + plain + " " + PromValue(value) + "\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    const std::string n = SanitizeMetricName(name);
-    *out += "# TYPE " + n + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.counts.size(); ++i) {
-      cumulative += h.counts[i];
-      PrometheusLabel le{"le", i < h.bounds.size() ? PromValue(h.bounds[i])
-                                                   : "+Inf"};
-      *out += n + "_bucket" + LabelBlock(labels, &le) + " " +
-              std::to_string(cumulative) + "\n";
-    }
-    *out += n + "_sum" + plain + " " + PromValue(h.sum) + "\n";
-    *out += n + "_count" + plain + " " + std::to_string(h.count) + "\n";
   }
 }
 

@@ -11,10 +11,10 @@
 // complete "X" events, microsecond units) and every child event nests
 // strictly inside its parent by construction.
 //
-// Prometheus: one "# TYPE" line plus value line(s) per metric, sorted by
-// name (MetricsSnapshot maps are sorted), histogram buckets cumulative with
-// a "+Inf" bucket, all floats via FormatDouble — deterministic and
-// locale-independent, so expositions diff cleanly across runs/machines.
+// Prometheus: one "# TYPE" line plus a value line per metric, sorted by
+// name (MetricsSnapshot maps are sorted), all floats via FormatDouble —
+// deterministic and locale-independent, so expositions diff cleanly across
+// runs/machines.
 
 #ifndef CDB_OBS_EXPORT_H_
 #define CDB_OBS_EXPORT_H_
@@ -46,9 +46,7 @@ struct PrometheusLabel {
 
 /// Renders `snapshot` in the Prometheus text exposition format. Metric
 /// names are sanitized ('.' and any other illegal character become '_');
-/// counters export as `counter`, gauges as `gauge`, histograms as
-/// `histogram` with cumulative `_bucket{le="..."}` series plus `_sum` and
-/// `_count`.
+/// counters export as `counter`, gauges as `gauge`.
 void WritePrometheus(const MetricsSnapshot& snapshot,
                      const std::vector<PrometheusLabel>& labels,
                      std::string* out);

@@ -7,47 +7,6 @@
 namespace cdb {
 namespace obs {
 
-namespace {
-
-// Portable atomic add for doubles (atomic<double>::fetch_add is C++20 but
-// not guaranteed lock-free everywhere; a relaxed CAS loop is).
-void AtomicAdd(std::atomic<double>* a, double v) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-Histogram::Histogram(std::string name, std::vector<double> bounds,
-                     const std::atomic<bool>* enabled)
-    : name_(std::move(name)),
-      bounds_(std::move(bounds)),
-      counts_(bounds_.size() + 1),
-      enabled_(enabled) {}
-
-Histogram::Histogram(Histogram&& o) noexcept
-    : name_(std::move(o.name_)),
-      bounds_(std::move(o.bounds_)),
-      counts_(bounds_.size() + 1),
-      enabled_(o.enabled_),
-      count_(o.count_.load(std::memory_order_relaxed)),
-      sum_(o.sum_.load(std::memory_order_relaxed)) {
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i].store(o.counts_[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  }
-}
-
-void Histogram::Observe(double v) {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  size_t i = static_cast<size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  counts_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(&sum_, v);
-}
-
 Counter* MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -68,33 +27,6 @@ Gauge* MetricsRegistry::gauge(std::string_view name) {
   return g;
 }
 
-Result<Histogram*> MetricsRegistry::histogram(std::string_view name,
-                                              std::vector<double> bounds) {
-  if (bounds.empty()) {
-    return Status::InvalidArgument("histogram needs at least one bound");
-  }
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i - 1] < bounds[i])) {
-      return Status::InvalidArgument(
-          "histogram bounds must be strictly increasing");
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    if (it->second->bounds() != bounds) {
-      return Status::InvalidArgument("histogram '" + std::string(name) +
-                                     "' re-registered with different bounds");
-    }
-    return it->second;
-  }
-  histogram_storage_.push_back(
-      Histogram(std::string(name), std::move(bounds), &enabled_));
-  Histogram* h = &histogram_storage_.back();
-  histograms_.emplace(h->name(), h);
-  return h;
-}
-
 void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (Counter& c : counter_storage_) {
@@ -102,11 +34,6 @@ void MetricsRegistry::ResetAll() {
   }
   for (Gauge& g : gauge_storage_) {
     g.value_.store(0, std::memory_order_relaxed);
-  }
-  for (Histogram& h : histogram_storage_) {
-    for (auto& c : h.counts_) c.store(0, std::memory_order_relaxed);
-    h.count_.store(0, std::memory_order_relaxed);
-    h.sum_.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -118,22 +45,6 @@ void MetricsRegistry::WriteJson(JsonWriter* w) const {
   w->EndObject();
   w->Key("gauges").BeginObject();
   for (const auto& [name, g] : gauges_) w->Key(name).Value(g->value());
-  w->EndObject();
-  w->Key("histograms").BeginObject();
-  for (const auto& [name, h] : histograms_) {
-    w->Key(name).BeginObject();
-    w->Key("bounds").BeginArray();
-    for (double b : h->bounds()) w->Value(b);
-    w->EndArray();
-    w->Key("counts").BeginArray();
-    for (size_t i = 0; i <= h->bounds().size(); ++i) {
-      w->Value(h->bucket_count(i));
-    }
-    w->EndArray();
-    w->Key("count").Value(h->count());
-    w->Key("sum").Value(h->sum());
-    w->EndObject();
-  }
   w->EndObject();
   w->EndObject();
 }
@@ -149,17 +60,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.bounds = h->bounds();
-    data.counts.resize(data.bounds.size() + 1);
-    for (size_t i = 0; i < data.counts.size(); ++i) {
-      data.counts[i] = h->bucket_count(i);
-    }
-    data.count = h->count();
-    data.sum = h->sum();
-    snap.histograms[name] = std::move(data);
-  }
   return snap;
 }
 
@@ -172,18 +72,6 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& later,
     out.counters[name] = it == earlier.counters.end() ? v : sub(v, it->second);
   }
   out.gauges = later.gauges;
-  for (const auto& [name, h] : later.histograms) {
-    MetricsSnapshot::HistogramData d = h;
-    auto it = earlier.histograms.find(name);
-    if (it != earlier.histograms.end() && it->second.bounds == h.bounds) {
-      for (size_t i = 0; i < d.counts.size(); ++i) {
-        d.counts[i] = sub(d.counts[i], it->second.counts[i]);
-      }
-      d.count = sub(d.count, it->second.count);
-      d.sum = d.count == 0 ? 0 : d.sum - it->second.sum;
-    }
-    out.histograms[name] = std::move(d);
-  }
   return out;
 }
 

@@ -1,23 +1,23 @@
-// MetricsRegistry: named counters, gauges and fixed-bucket histograms for
-// the observability layer.
+// MetricsRegistry: named counters and gauges for the observability layer.
+// Latency distributions are obs::LatencyRecorder digests (obs/latency.h),
+// exported here as gauges.
 //
 // Design goals (ISSUE 1):
-//  - no exceptions; the only fallible operation (histogram registration with
-//    bad buckets) returns Result<>;
+//  - no exceptions;
 //  - near-zero overhead when disabled: hot-path call sites cache the handle
-//    in a function-local static and Increment()/Observe() reduce to one
-//    predicated load when the owning registry is disabled;
-//  - stable handles: pointers returned by counter()/gauge()/histogram()
-//    remain valid for the registry's lifetime (deque storage);
+//    in a function-local static and Increment() reduces to one predicated
+//    load when the owning registry is disabled;
+//  - stable handles: pointers returned by counter()/gauge() remain valid
+//    for the registry's lifetime (deque storage);
 //  - deterministic JSON snapshots (members sorted by name) feeding the
 //    BENCH_*.json artifacts.
 //
-// Counters and histograms are *event* metrics and respect the enabled flag;
+// Counters are *event* metrics and respect the enabled flag;
 // gauges are *snapshot* metrics written by export paths (e.g.
 // ExportPagerMetrics) and always store, so a disabled registry still
 // yields a truthful point-in-time export.
 //
-// Thread safety (ISSUE 3): Increment/Observe/Set are atomic (relaxed), so
+// Thread safety (ISSUE 3): Increment/Set are atomic (relaxed), so
 // executor worker threads sharing cached handles never lose events;
 // registration and snapshots are serialized on a registry mutex. Handles
 // stay stable (deque storage), so the function-local-static caching idiom
@@ -95,58 +95,17 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the first
-/// bounds.size() buckets; one implicit overflow bucket follows. Tracks sum
-/// and count for mean recovery.
-class Histogram {
- public:
-  void Observe(double v);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// i in [0, bounds().size()]; the last index is the overflow bucket.
-  uint64_t bucket_count(size_t i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  const std::string& name() const { return name_; }
-
-  Histogram(Histogram&& o) noexcept;
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds,
-            const std::atomic<bool>* enabled);
-
-  std::string name_;
-  std::vector<double> bounds_;
-  // bounds_.size() + 1 entries (atomics: vector is sized once, at
-  // registration, and only the elements mutate afterwards).
-  std::vector<std::atomic<uint64_t>> counts_;
-  const std::atomic<bool>* enabled_;
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0};
-};
-
 /// Point-in-time copy of a registry's contents, decoupled from the live
 /// atomics. The unit of export (obs/export.h Prometheus exposition) and of
 /// interval accounting via SnapshotDelta. Maps keep everything sorted by
 /// metric name, so renderings diff cleanly across runs.
 struct MetricsSnapshot {
-  struct HistogramData {
-    std::vector<double> bounds;
-    std::vector<uint64_t> counts;  // bounds.size() + 1; overflow last.
-    uint64_t count = 0;
-    double sum = 0;
-  };
-
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
 };
 
-/// Interval view between two snapshots of the same registry: counters and
-/// histogram tallies become `later - earlier` (clamped at zero, so a
+/// Interval view between two snapshots of the same registry: counters
+/// become `later - earlier` (clamped at zero, so a
 /// ResetAll between the snapshots reads as a fresh start rather than an
 /// underflow); gauges keep the later point-in-time value. Metrics absent
 /// from `earlier` are taken whole.
@@ -165,22 +124,16 @@ class MetricsRegistry {
   Counter* counter(std::string_view name);
   Gauge* gauge(std::string_view name);
 
-  /// Registers (or retrieves) a histogram. `bounds` must be non-empty and
-  /// strictly increasing, and must match any previous registration of the
-  /// same name exactly.
-  Result<Histogram*> histogram(std::string_view name,
-                               std::vector<double> bounds);
-
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Zeroes every counter, gauge, and histogram (handles stay valid).
+  /// Zeroes every counter and gauge (handles stay valid).
   void ResetAll();
 
-  /// Writes {"counters":{...},"gauges":{...},"histograms":{...}} with
-  /// members sorted by metric name.
+  /// Writes {"counters":{...},"gauges":{...}} with members sorted by
+  /// metric name.
   void WriteJson(JsonWriter* w) const;
   std::string ToJson() const;
 
@@ -194,10 +147,8 @@ class MetricsRegistry {
   mutable std::mutex mu_;  // Guards the maps and storage below.
   std::deque<Counter> counter_storage_;
   std::deque<Gauge> gauge_storage_;
-  std::deque<Histogram> histogram_storage_;
   std::map<std::string, Counter*, std::less<>> counters_;
   std::map<std::string, Gauge*, std::less<>> gauges_;
-  std::map<std::string, Histogram*, std::less<>> histograms_;
 };
 
 /// The process-wide registry. Disabled by default; benchmarks and tests

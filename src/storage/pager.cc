@@ -84,9 +84,10 @@ PagerReadSession::PagerReadSession(Pager* pager)
   // Under single-writer mode a session is the commit-epoch boundary: wait
   // out any in-flight publish, then register so the next publish waits for
   // us. (The writer thread never registers — it would deadlock its own
-  // publish, and its Fetches bypass the shard pools anyway.)
+  // publish, and its Fetches go to its overlay anyway.)
   if (pager_->shared_mode_ && pager_->swmr_ && !pager_->IsSwmrWriterThread()) {
     std::unique_lock<std::mutex> lock(pager_->publish_mu_);
+    waited_for_publish_ = pager_->gate_closed_;
     pager_->publish_cv_.wait(lock, [&] { return !pager_->gate_closed_; });
     ++pager_->active_swmr_sessions_;
     counted_ = true;
@@ -164,13 +165,7 @@ Pager::Pager(std::unique_ptr<BlockFile> file,
       retry_backoff_(options.retry_backoff),
       reread_on_checksum_mismatch_(options.reread_on_checksum_mismatch),
       block_scratch_(options.page_size),
-      journal_scratch_(JournalBlockSize(options.page_size)) {
-  // Round the shard count up to a power of two so ShardOf is a mask.
-  size_t want = options.read_shards == 0 ? 1 : options.read_shards;
-  size_t shards = 1;
-  while (shards < want && shards < 1024) shards <<= 1;
-  shard_mask_ = shards - 1;
-}
+      journal_scratch_(JournalBlockSize(options.page_size)) {}
 
 Status Pager::Open(std::unique_ptr<BlockFile> file,
                    const PagerOptions& options, std::unique_ptr<Pager>* out) {
@@ -220,14 +215,19 @@ Pager::~Pager() {
   if (!shared_mode_) Flush().ok();
 }
 
+PagerReadSession* Pager::FindSession() const {
+  for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
+    if (s->pager_ == this) return s;
+  }
+  return nullptr;
+}
+
 const IoStats& Pager::ThreadStats() const {
   if (shared_mode_) {
     // The single writer's view is its un-published delta (cleared into
     // stats() at each publish).
     if (IsSwmrWriterThread()) return writer_stats_;
-    for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
-      if (s->pager_ == this) return s->local_;
-    }
+    if (PagerReadSession* s = FindSession()) return s->local_;
   }
   return stats_;
 }
@@ -343,14 +343,15 @@ Result<PageId> Pager::Allocate() {
     Frame frame;
     frame.data.assign(block_size_, 0);
     frame.dirty = true;
-    frame.pins = 0;
-    auto [it, inserted] = frames_.emplace(id, std::move(frame));
-    assert(inserted);
-    lru_.push_front(id);
-    it->second.lru_pos = lru_.begin();
-    it->second.in_lru = true;
-    Status st = EvictIfNeeded();
-    if (!st.ok()) return st;
+    if (IsSwmrWriterThread()) {
+      overlay_.emplace(id, std::move(frame));
+    } else {
+      Shard& shard = ShardOf(id);
+      Frame& f = shard.frames.emplace(id, std::move(frame)).first->second;
+      resident_.fetch_add(1, std::memory_order_relaxed);
+      Park(shard, f, id);
+      CDB_RETURN_IF_ERROR(EvictIfNeeded());
+    }
   }
   ++live_pages_;
   return id;
@@ -367,8 +368,8 @@ Status Pager::Free(PageId id) {
   if (free_set_.count(id) > 0) {
     return Status::Corruption("double free of page " + std::to_string(id));
   }
-  auto it = frames_.find(id);
-  if (it != frames_.end() && it->second.pins > 0) {
+  const Frame* frame = MutableFrame(id);
+  if (frame != nullptr && frame->pins > 0) {
     return Status::InvalidArgument("Free of pinned page " +
                                    std::to_string(id));
   }
@@ -384,69 +385,152 @@ Status Pager::Free(PageId id) {
   return Status::OK();
 }
 
+Pager::Frame* Pager::MutableFrame(PageId id) {
+  std::unordered_map<PageId, Frame>& frames =
+      IsSwmrWriterThread() ? overlay_ : ShardOf(id).frames;
+  auto it = frames.find(id);
+  return it == frames.end() ? nullptr : &it->second;
+}
+
+void Pager::Park(Shard& shard, Frame& frame, PageId id) {
+  shard.lru.push_front(
+      {id, unpin_clock_.fetch_add(1, std::memory_order_relaxed)});
+  frame.lru_pos = shard.lru.begin();
+}
+
 Result<PageRef> Pager::Fetch(PageId id) {
-  // Readers validate against the published snapshot inside SharedFetch —
-  // the live next_page_id_/free_set_ are the writer's under single-writer
-  // mode (and identical to the snapshot in plain concurrent-read mode).
-  if (shared_mode_ && !IsSwmrWriterThread()) return SharedFetch(id);
-  if (id == kInvalidPageId || id >= next_page_id_) {
+  // Callers: the exclusive-mode thread, the single writer (private overlay,
+  // never evicted) and readers (session-charged, validated against the
+  // published snapshot, since the live allocation state is the writer's).
+  const bool writer = IsSwmrWriterThread();
+  const bool reader = shared_mode_ && !writer;
+  IoStats* stats = &MutStats();
+  if (reader) {
+    PagerReadSession* session = FindSession();
+    if (session == nullptr) {
+      return Status::InvalidArgument(
+          "concurrent-read Fetch requires a PagerReadSession on this thread");
+    }
+    stats = &session->local_;
+  }
+  const PageId end = reader ? published_next_page_id_ : next_page_id_;
+  if (id == kInvalidPageId || id >= end) {
     return Status::InvalidArgument("Fetch of invalid page id " +
                                    std::to_string(id));
   }
-  if (free_set_.count(id) > 0) {
+  if ((reader ? published_free_ : free_set_).count(id) > 0) {
     return Status::Corruption("Fetch of free page " + std::to_string(id));
   }
-  IoStats& sink = MutStats();
-  ++sink.page_fetches;
-  auto it = frames_.find(id);
-  if (it == frames_.end()) {
-    ++sink.page_reads;
-    Frame frame;
-    frame.data.resize(block_size_);
-    // Pages allocated but never flushed do not exist in the file yet; they
-    // were evicted with write-back, so a resident miss means a real read
-    // unless the block is past EOF (possible only for never-written pages,
-    // which are zero by definition).
-    if (id < file_->BlockCount()) {
-      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, frame.data.data(), &sink));
+  ++stats->page_fetches;
+  Shard& shard = ShardOf(id);
+  if (reader) shard.fetches.fetch_add(1, std::memory_order_relaxed);
+
+  if (writer) {
+    auto it = overlay_.find(id);
+    if (it == overlay_.end()) {
+      // Seed the overlay from the committed bytes: a resident shard copy
+      // is a hit, anything else a physical read.
+      Frame frame;
+      {
+        std::unique_lock<std::mutex> lock = LockShard(shard);
+        auto sit = shard.frames.find(id);
+        if (sit != shard.frames.end()) frame.data = sit->second.data;
+      }
+      if (frame.data.empty()) {
+        ++stats->page_reads;
+        frame.data.assign(block_size_, 0);
+        if (id < file_->BlockCount()) {
+          CDB_RETURN_IF_ERROR(ReadBlockVerified(id, frame.data.data(), stats));
+        }
+      } else {
+        ++stats->buffer_hits;
+      }
+      it = overlay_.emplace(id, std::move(frame)).first;
     } else {
-      std::fill(frame.data.begin(), frame.data.end(), 0);
+      ++stats->buffer_hits;
     }
-    it = frames_.emplace(id, std::move(frame)).first;
+    ++it->second.pins;
+    return PageRef(this, id, it->second.data.data() + payload_offset_);
+  }
+
+  std::unique_lock<std::mutex> lock = LockShard(shard);
+  auto it = shard.frames.find(id);
+  bool loaded = false;
+  if (it == shard.frames.end()) {
+    // Miss: a reader does the physical read outside the shard lock so a
+    // slow read does not serialize the whole shard. Two readers may race
+    // to load the same page; the loser adopts the winner's frame and its
+    // duplicate read is charged as a physical read (it was one), which
+    // keeps the per-session fetches == hits + reads invariant exact. Pages
+    // allocated but never written are past EOF and zero by definition.
+    if (reader) lock.unlock();
+    ++stats->page_reads;
+    std::vector<char> block(block_size_);
+    if (id < file_->BlockCount()) {
+      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), stats));
+    }
+    if (reader) {
+      lock = LockShard(shard);
+      it = shard.frames.find(id);
+    }
+    if (it == shard.frames.end()) {
+      Frame frame;
+      frame.data = std::move(block);
+      it = shard.frames.emplace(id, std::move(frame)).first;
+      resident_.fetch_add(1, std::memory_order_relaxed);
+      loaded = true;
+    }
   } else {
-    ++sink.buffer_hits;
-    if (it->second.in_lru) {
-      lru_.erase(it->second.lru_pos);
-      it->second.in_lru = false;
-    }
+    ++stats->buffer_hits;
   }
   Frame& frame = it->second;
-  if (frame.pins == 0) ++pinned_frames_;
-  ++frame.pins;
+  if (frame.pins++ == 0) {
+    Bump(shard.pinned, +1);
+    if (!loaded) shard.lru.erase(frame.lru_pos);
+  }
+  char* data = frame.data.data() + payload_offset_;
+  if (reader) {
+    // Shard-local eviction from this shard's cold end while the pool as a
+    // whole is over budget. Every shard frame is clean in this mode, so
+    // eviction is just an erase. Another shard may be the actual offender;
+    // tolerating transient overflow keeps eviction lock-local.
+    while (resident_.load(std::memory_order_relaxed) > cache_frames_ &&
+           !shard.lru.empty()) {
+      auto vit = shard.frames.find(shard.lru.back().id);
+      assert(vit != shard.frames.end() && vit->second.pins == 0 &&
+             !vit->second.dirty);
+      shard.lru.pop_back();
+      shard.frames.erase(vit);
+      resident_.fetch_sub(1, std::memory_order_relaxed);
+      ++stats->buffer_evictions;
+    }
+    return PageRef(this, id, data);
+  }
+  lock.unlock();
   Status st = EvictIfNeeded();
   if (!st.ok()) {
-    // Roll back the pin so the pager stays consistent.
-    --frame.pins;
-    if (frame.pins == 0) --pinned_frames_;
+    Unpin(id);  // Roll back the pin so the pager stays consistent.
     return st;
   }
-  return PageRef(this, id, frame.data.data() + payload_offset_);
+  return PageRef(this, id, data);
 }
 
 void Pager::Unpin(PageId id) {
-  if (shared_mode_ && !IsSwmrWriterThread()) {
-    SharedUnpin(id);
+  if (IsSwmrWriterThread()) {
+    auto it = overlay_.find(id);
+    assert(it != overlay_.end() && it->second.pins > 0);
+    --it->second.pins;
     return;
   }
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
+  Shard& shard = ShardOf(id);
+  std::unique_lock<std::mutex> lock = LockShard(shard);
+  auto it = shard.frames.find(id);
+  assert(it != shard.frames.end());
   Frame& frame = it->second;
   assert(frame.pins > 0);
   if (--frame.pins == 0) {
-    --pinned_frames_;
-    lru_.push_front(id);
-    frame.lru_pos = lru_.begin();
-    frame.in_lru = true;
+    Bump(shard.pinned, -1);
+    Park(shard, frame, id);
   }
 }
 
@@ -457,9 +541,9 @@ void Pager::MarkDirty(PageId id) {
   // written back anyway — write-back paths are all mode-guarded).
   assert(!shared_mode_ || IsSwmrWriterThread());
   if (shared_mode_ && !IsSwmrWriterThread()) return;
-  auto it = frames_.find(id);
-  assert(it != frames_.end());
-  it->second.dirty = true;
+  Frame* frame = MutableFrame(id);
+  assert(frame != nullptr);
+  frame->dirty = true;
   txn_active_ = true;
 }
 
@@ -588,20 +672,27 @@ Status Pager::WriteBack(PageId id, Frame* frame) {
 }
 
 Status Pager::EvictIfNeeded() {
-  // The single-writer overlay is never evicted: a mid-transaction
-  // write-back would make uncommitted bytes readable. The overlay is
-  // bounded by the writer's batch size between publishes, not by
-  // cache_frames_ (documented trade-off, DESIGN.md §2d).
-  if (shared_mode_) return Status::OK();
-  while (frames_.size() > cache_frames_ && !lru_.empty()) {
-    PageId victim = lru_.back();
-    auto it = frames_.find(victim);
-    assert(it != frames_.end() && it->second.pins == 0);
+  while (resident_.load(std::memory_order_relaxed) > cache_frames_) {
+    // Every shard list is in stamp order, so the least-recently-unpinned
+    // frame in the pool is the oldest of the shard tails.
+    Shard* victim = nullptr;
+    for (Shard& shard : shards_) {
+      if (!shard.lru.empty() &&
+          (victim == nullptr ||
+           shard.lru.back().stamp < victim->lru.back().stamp)) {
+        victim = &shard;
+      }
+    }
+    if (victim == nullptr) break;  // Everything resident is pinned.
+    const PageId id = victim->lru.back().id;
+    auto it = victim->frames.find(id);
+    assert(it != victim->frames.end() && it->second.pins == 0);
     if (it->second.dirty) ++stats_.dirty_writebacks;
-    CDB_RETURN_IF_ERROR(WriteBack(victim, &it->second));
+    CDB_RETURN_IF_ERROR(WriteBack(id, &it->second));
     ++stats_.buffer_evictions;
-    lru_.pop_back();
-    frames_.erase(it);
+    victim->lru.pop_back();
+    victim->frames.erase(it);
+    resident_.fetch_sub(1, std::memory_order_relaxed);
   }
   return Status::OK();
 }
@@ -619,17 +710,26 @@ Status Pager::FlushBody() {
   // destructor's flush after a clean Flush() must not advance the
   // sequence or touch the file.
   if (!txn_active_ && !journal_header_written_) return Status::OK();
+  // The frames this commit writes: the writer's overlay under single-writer
+  // mode (the shard pool is clean then), every shard in exclusive mode.
+  std::vector<std::pair<PageId, Frame*>> dirty;
+  auto collect = [&dirty](std::unordered_map<PageId, Frame>& frames) {
+    for (auto& [id, frame] : frames) {
+      if (frame.dirty) dirty.emplace_back(id, &frame);
+    }
+  };
+  if (IsSwmrWriterThread()) {
+    collect(overlay_);
+  } else {
+    for (Shard& shard : shards_) collect(shard.frames);
+  }
   // Journal every pre-image first so one journal sync covers the whole
   // batch of in-place writes below.
   if (journal_ != nullptr) {
-    for (auto& [id, frame] : frames_) {
-      if (frame.dirty) CDB_RETURN_IF_ERROR(EnsureJournaled(id));
-    }
+    for (auto& [id, frame] : dirty) CDB_RETURN_IF_ERROR(EnsureJournaled(id));
     CDB_RETURN_IF_ERROR(EnsureJournaled(0));
   }
-  for (auto& [id, frame] : frames_) {
-    CDB_RETURN_IF_ERROR(WriteBack(id, &frame));
-  }
+  for (auto& [id, frame] : dirty) CDB_RETURN_IF_ERROR(WriteBack(id, frame));
   CDB_RETURN_IF_ERROR(StoreMeta());
   CDB_RETURN_IF_ERROR(SyncDataFile());
   if (journal_ != nullptr) {
@@ -652,8 +752,12 @@ Status Pager::FlushBody() {
 
 Status Pager::PublishWriter() {
   // Nothing to commit: don't close the gate for a no-op (the ingest lane
-  // calls Flush once more on exit even when the tail batch was empty).
-  if (!txn_active_ && !journal_header_written_) return Status::OK();
+  // calls Flush once more on exit even when the tail batch was empty). The
+  // overlay then holds committed bytes only and can go to the pool as is.
+  if (!txn_active_ && !journal_header_written_) {
+    ReleaseOverlay();
+    return Status::OK();
+  }
   std::unique_lock<std::mutex> lock(publish_mu_);
   gate_closed_ = true;
   const uint64_t drain_start = MonoNanos();
@@ -666,30 +770,16 @@ Status Pager::PublishWriter() {
                                          std::memory_order_relaxed);
   // Every read session is drained and new ones are parked at the gate, so
   // the commit below is invisible until the snapshot swap completes.
-  std::vector<PageId> written;
-  for (auto& [id, frame] : frames_) {
-    if (frame.dirty) written.push_back(id);
-  }
-  cc_.publish_pages.fetch_add(written.size(), std::memory_order_relaxed);
+  const size_t written = std::count_if(
+      overlay_.begin(), overlay_.end(),
+      [](const auto& entry) { return entry.second.dirty; });
+  cc_.publish_pages.fetch_add(written, std::memory_order_relaxed);
   Status st = FlushBody();
   if (st.ok()) {
-    // Purge superseded copies so post-publish readers refetch the new
-    // bytes from disk. (Pages freed this transaction may leave stale
-    // clean frames behind; the published free set blocks fetching them,
-    // and a later reuse lands in `written` and purges them here.)
-    for (PageId id : written) {
-      ReadShard& shard = *shards_[ShardOf(id)];
-      std::lock_guard<std::mutex> slock(shard.mu);
-      auto it = shard.frames.find(id);
-      if (it != shard.frames.end()) {
-        assert(it->second.pins.load(std::memory_order_relaxed) == 0);
-        if (it->second.in_lru) shard.lru.erase(it->second.lru_pos);
-        shard.frames.erase(it);
-        shared_frames_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
     published_next_page_id_ = next_page_id_;
     published_free_ = free_set_;
+    // No reader pins a shard frame now, so every superseded copy goes.
+    ReleaseOverlay();
   }
   {
     std::lock_guard<std::mutex> slock(stats_mu_);
@@ -702,18 +792,44 @@ Status Pager::PublishWriter() {
   return st;
 }
 
+void Pager::ReleaseOverlay() {
+  for (auto it = overlay_.begin(); it != overlay_.end();) {
+    const PageId id = it->first;
+    Frame& mine = it->second;
+    assert(!mine.dirty);
+    Shard& shard = ShardOf(id);
+    std::unique_lock<std::mutex> lock = LockShard(shard);
+    auto sit = shard.frames.find(id);
+    if (sit != shard.frames.end() && sit->second.pins == 0) {
+      shard.lru.erase(sit->second.lru_pos);
+      shard.frames.erase(sit);
+      resident_.fetch_sub(1, std::memory_order_relaxed);
+      sit = shard.frames.end();
+    }
+    if (mine.pins > 0) {
+      ++it;
+      continue;
+    }
+    // A shard copy that survived is pinned by a reader, which is possible
+    // only after a no-op publish: it holds the same committed bytes.
+    if (sit == shard.frames.end()) {
+      Frame& frame = shard.frames.emplace(id, std::move(mine)).first->second;
+      resident_.fetch_add(1, std::memory_order_relaxed);
+      Park(shard, frame, id);
+    }
+    it = overlay_.erase(it);
+  }
+}
+
 Status Pager::DropCache() {
   if (shared_mode_) {
     return Status::InvalidArgument("DropCache during concurrent reads");
   }
   CDB_RETURN_IF_ERROR(Flush());
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (it->second.pins == 0) {
-      if (it->second.in_lru) lru_.erase(it->second.lru_pos);
-      it = frames_.erase(it);
-    } else {
-      ++it;
-    }
+  for (Shard& shard : shards_) {
+    for (const LruSlot& slot : shard.lru) shard.frames.erase(slot.id);
+    resident_.fetch_sub(shard.lru.size(), std::memory_order_relaxed);
+    shard.lru.clear();
   }
   return Status::OK();
 }
@@ -722,38 +838,16 @@ Status Pager::BeginConcurrentReads(bool single_writer) {
   if (shared_mode_) {
     return Status::InvalidArgument("already in concurrent-read mode");
   }
-  if (pinned_frames_ != 0) {
+  if (pinned_frame_count() != 0) {
     return Status::InvalidArgument("BeginConcurrentReads with live pins");
   }
-  // Every frame must be clean before sharing: shared-mode eviction drops
-  // frames without write-back, and readers never see in-flight mutations.
+  // Every frame must be clean before sharing: readers evict without
+  // write-back, and never see in-flight mutations.
   CDB_RETURN_IF_ERROR(Flush());
-  if (shards_.empty()) {
-    shards_.resize(shard_mask_ + 1);
-    for (auto& s : shards_) s = std::make_unique<ReadShard>();
-  }
   // Per-epoch fetch distribution restarts with the mode (ShardImbalance()).
-  for (auto& s : shards_) s->fetches.store(0, std::memory_order_relaxed);
-  // Distribute resident frames, walking the exclusive LRU from MRU to LRU
-  // so each shard's list preserves relative recency — a warm cache stays
-  // warm across the mode switch.
-  size_t moved = 0;
-  for (PageId id : lru_) {
-    auto it = frames_.find(id);
-    assert(it != frames_.end());
-    it->second.in_lru = false;
-    ReadShard& shard = *shards_[ShardOf(id)];
-    auto res = shard.frames.emplace(id, std::move(it->second));
-    assert(res.second);
-    shard.lru.push_back(id);
-    res.first->second.lru_pos = --shard.lru.end();
-    res.first->second.in_lru = true;
-    ++moved;
+  for (Shard& shard : shards_) {
+    shard.fetches.store(0, std::memory_order_relaxed);
   }
-  frames_.clear();
-  lru_.clear();
-  shared_frames_.store(moved, std::memory_order_relaxed);
-  shared_pinned_.store(0, std::memory_order_relaxed);
   // Snapshot the allocation state readers validate against. In plain
   // concurrent-read mode it never diverges from the live state (mutations
   // are rejected); under single-writer mode it advances only at publish.
@@ -780,42 +874,17 @@ Status Pager::EndConcurrentReads() {
     // Commit whatever the writer left pending so exclusive mode resumes
     // from a published state.
     CDB_RETURN_IF_ERROR(PublishWriter());
-    {
-      std::lock_guard<std::mutex> lock(publish_mu_);
-      if (active_swmr_sessions_ != 0) {
-        return Status::InvalidArgument(
-            "EndConcurrentReads with open read sessions");
-      }
-    }
-    if (pinned_frames_ != 0) {
-      return Status::InvalidArgument("EndConcurrentReads with writer pins");
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    if (active_swmr_sessions_ != 0) {
+      return Status::InvalidArgument(
+          "EndConcurrentReads with open read sessions");
     }
   }
-  if (shared_pinned_.load(std::memory_order_relaxed) != 0) {
+  // After the publish the overlay holds only frames the writer still pins.
+  if (pinned_frame_count() != 0 || !overlay_.empty()) {
     return Status::InvalidArgument(
         "EndConcurrentReads with live PageRefs or sessions");
   }
-  // Fold the shards back. Recency within a shard is preserved; ordering
-  // across shards is approximate, which only perturbs future eviction
-  // order, never counters or query results. Under single-writer mode the
-  // writer's overlay may already hold a (clean, identical post-publish)
-  // copy of a shard frame — keep the overlay's and drop the shard's.
-  for (auto& shard_ptr : shards_) {
-    ReadShard& shard = *shard_ptr;
-    for (PageId id : shard.lru) {
-      auto it = shard.frames.find(id);
-      assert(it != shard.frames.end());
-      it->second.in_lru = false;
-      auto res = frames_.emplace(id, std::move(it->second));
-      if (!res.second) continue;
-      lru_.push_back(id);
-      res.first->second.lru_pos = --lru_.end();
-      res.first->second.in_lru = true;
-    }
-    shard.frames.clear();
-    shard.lru.clear();
-  }
-  shared_frames_.store(0, std::memory_order_relaxed);
   // Residual writer counters (reads that never hit a publish) and the
   // mode reset. The publish above already merged the mutation counters.
   {
@@ -823,17 +892,14 @@ Status Pager::EndConcurrentReads() {
     stats_.Merge(writer_stats_);
     writer_stats_.Reset();
   }
-  const bool had_writer = swmr_;
   swmr_ = false;
   shared_mode_ = false;
-  // The writer overlay may have grown past the frame budget while
-  // eviction was disabled; shed the excess now that exclusive eviction is
-  // legal again. (Plain concurrent-read mode never overflows: shard-local
-  // eviction kept the pool at the budget.)
-  return had_writer ? EvictIfNeeded() : Status::OK();
+  // Reader eviction is shard-local and a publish adds frames without
+  // evicting, so shed any excess in LRU order.
+  return EvictIfNeeded();
 }
 
-std::unique_lock<std::mutex> Pager::LockShard(ReadShard& shard) {
+std::unique_lock<std::mutex> Pager::LockShard(Shard& shard) {
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
     // Contended: charge the blocking wait. The uncontended path above never
@@ -846,83 +912,6 @@ std::unique_lock<std::mutex> Pager::LockShard(ReadShard& shard) {
                                      std::memory_order_relaxed);
   }
   return lock;
-}
-
-Result<PageRef> Pager::SharedFetch(PageId id) {
-  PagerReadSession* session = nullptr;
-  for (PagerReadSession* s = t_session_head; s != nullptr; s = s->prev_) {
-    if (s->pager_ == this) {
-      session = s;
-      break;
-    }
-  }
-  if (session == nullptr) {
-    return Status::InvalidArgument(
-        "concurrent-read Fetch requires a PagerReadSession on this thread");
-  }
-  // Validate against the published snapshot (== the live state in plain
-  // concurrent-read mode; the last commit under single-writer mode). The
-  // session's gate registration ordered this read after the snapshot swap.
-  if (id == kInvalidPageId || id >= published_next_page_id_) {
-    return Status::InvalidArgument("Fetch of invalid page id " +
-                                   std::to_string(id));
-  }
-  if (published_free_.count(id) > 0) {
-    return Status::Corruption("Fetch of free page " + std::to_string(id));
-  }
-  IoStats& stats = session->local_;
-  ++stats.page_fetches;
-  ReadShard& shard = *shards_[ShardOf(id)];
-  shard.fetches.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.frames.find(id);
-  if (it == shard.frames.end()) {
-    // Miss: do the physical read outside the shard lock so a slow read
-    // does not serialize the whole shard. Two threads may race to load the
-    // same page; the loser adopts the winner's frame and its duplicate
-    // read is charged as a physical read (it was one), which keeps the
-    // per-session fetches == hits + reads invariant exact.
-    lock.unlock();
-    ++stats.page_reads;
-    std::vector<char> block(block_size_);
-    if (id < file_->BlockCount()) {
-      CDB_RETURN_IF_ERROR(ReadBlockVerified(id, block.data(), &stats));
-    }
-    lock = LockShard(shard);
-    it = shard.frames.find(id);
-    if (it == shard.frames.end()) {
-      Frame frame;
-      frame.data = std::move(block);
-      it = shard.frames.emplace(id, std::move(frame)).first;
-      shared_frames_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    ++stats.buffer_hits;
-  }
-  Frame& frame = it->second;
-  if (frame.pins.fetch_add(1, std::memory_order_relaxed) == 0) {
-    shared_pinned_.fetch_add(1, std::memory_order_relaxed);
-    if (frame.in_lru) {
-      shard.lru.erase(frame.lru_pos);
-      frame.in_lru = false;
-    }
-  }
-  // Capacity: evict unpinned frames from this shard's cold end while the
-  // pool as a whole is over budget. All frames are clean, so eviction is
-  // just an erase. Another shard may be the actual offender; tolerating
-  // transient overflow keeps eviction lock-local.
-  while (shared_frames_.load(std::memory_order_relaxed) > cache_frames_ &&
-         !shard.lru.empty()) {
-    PageId victim = shard.lru.back();
-    auto vit = shard.frames.find(victim);
-    assert(vit != shard.frames.end() &&
-           vit->second.pins.load(std::memory_order_relaxed) == 0);
-    shard.lru.pop_back();
-    shard.frames.erase(vit);
-    shared_frames_.fetch_sub(1, std::memory_order_relaxed);
-    ++stats.buffer_evictions;
-  }
-  return PageRef(this, id, frame.data.data() + payload_offset_);
 }
 
 Status Pager::ReadBlockVerified(PageId id, char* block, IoStats* sink) {
@@ -1025,32 +1014,14 @@ PagerConcurrencyStats Pager::concurrency_stats() const {
 double Pager::ShardImbalance() const {
   uint64_t total = 0;
   uint64_t peak = 0;
-  size_t shards = 0;
-  for (const auto& shard_ptr : shards_) {
-    uint64_t f = shard_ptr->fetches.load(std::memory_order_relaxed);
+  for (const Shard& shard : shards_) {
+    uint64_t f = shard.fetches.load(std::memory_order_relaxed);
     total += f;
     peak = std::max(peak, f);
-    ++shards;
   }
-  if (total == 0 || shards == 0) return 0;
-  double mean = static_cast<double>(total) / static_cast<double>(shards);
+  if (total == 0) return 0;
+  double mean = static_cast<double>(total) / static_cast<double>(kPoolShards);
   return static_cast<double>(peak) / mean;
-}
-
-void Pager::SharedUnpin(PageId id) {
-  ReadShard& shard = *shards_[ShardOf(id)];
-  std::unique_lock<std::mutex> lock = LockShard(shard);
-  auto it = shard.frames.find(id);
-  assert(it != shard.frames.end());
-  Frame& frame = it->second;
-  int prev = frame.pins.fetch_sub(1, std::memory_order_relaxed);
-  assert(prev > 0);
-  if (prev == 1) {
-    shared_pinned_.fetch_sub(1, std::memory_order_relaxed);
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
-    frame.in_lru = true;
-  }
 }
 
 }  // namespace cdb

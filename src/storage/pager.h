@@ -7,17 +7,19 @@
 // not the page was resident, so benchmarks can reproduce that metric with a
 // warm or cold cache.
 //
-// Threading: the pager has two modes (DESIGN.md §2c).
-//   - Exclusive mode (the default, and the only mode with mutations): the
-//     pager is single-threaded, exactly as the paper's structures are
-//     evaluated; no latching, byte-identical behavior to previous versions.
-//   - Concurrent-read mode, entered with BeginConcurrentReads(): the buffer
-//     pool is sharded by page id (per-shard mutex + LRU, atomic pin counts)
-//     and Fetch() becomes safe from many threads at once — provided each
-//     thread holds a PagerReadSession, which collects that thread's IoStats
-//     delta and merges it into stats() when it closes. All mutating entry
-//     points (Allocate, Free, Flush, DropCache, MarkDirty) are rejected
-//     until EndConcurrentReads() restores exclusive mode.
+// Buffer pool (DESIGN.md §2c): one pool of kPoolShards shards (mutex, frame
+// map, LRU list of unpinned frames) serves every mode. Every unpin takes a
+// stamp from one counter, so the least-recently-unpinned frame is the
+// oldest shard tail: exactly the paper's single-threaded LRU.
+//   - Exclusive mode (the default, and the only mode with mutations): one
+//     thread at a time; eviction writes dirty victims back.
+//   - Concurrent-read mode, entered with BeginConcurrentReads(): Fetch()
+//     is safe from many threads at once — provided each thread holds a
+//     PagerReadSession, which collects that thread's IoStats delta and
+//     merges it into stats() when it closes. Frames are clean and readers
+//     evict from their own shard only. All mutating entry points
+//     (Allocate, Free, Flush, DropCache, MarkDirty) are rejected until
+//     EndConcurrentReads(). Neither switch moves a frame.
 //
 // On-disk layout (format v2):
 //   block 0           meta page: magic, page size, next id, free-list head,
@@ -47,6 +49,7 @@
 #ifndef CDB_STORAGE_PAGER_H_
 #define CDB_STORAGE_PAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -80,6 +83,7 @@ inline constexpr size_t kPageHeaderSize = 16;
 inline constexpr size_t kJournalBlockOverhead = 16;
 
 class Pager;
+class PagerReadSession;
 
 /// Pinned view of a page's bytes. The frame stays resident while any
 /// PageRef to it is alive. Call MarkDirty() after mutating data().
@@ -125,10 +129,6 @@ struct PagerOptions {
   /// every write. The mode is recorded in the meta page; a file must be
   /// reopened with the mode it was created with.
   bool checksums = true;
-  /// Buffer-pool shards used while in concurrent-read mode (rounded up to a
-  /// power of two). Exclusive mode ignores this — the single LRU stays
-  /// byte-identical to the paper's accounting.
-  size_t read_shards = 8;
 
   /// Transient-read retry policy (ISSUE 7; DESIGN.md §2g). Applies only to
   /// the physical page reads behind Fetch() cache misses — open/recovery
@@ -286,30 +286,32 @@ class Pager {
   const IoStats& stats() const { return stats_; }
   IoStats* mutable_stats() { return &stats_; }
 
-  /// Frames currently held in the buffer pool (all shards in
-  /// concurrent-read mode).
+  /// Frames currently held in the shard pool (the single writer's private
+  /// overlay is not counted).
   size_t resident_frame_count() const {
-    return shared_mode_ ? shared_frames_.load(std::memory_order_relaxed)
-                        : frames_.size();
+    return resident_.load(std::memory_order_relaxed);
   }
 
-  /// Frames with at least one live PageRef. Zero between operations — a
-  /// non-zero value after a query returns means a leaked pin (checked by
-  /// the fault-injection tests). Buffer-pool state is published to a
-  /// MetricsRegistry by obs::ExportPagerMetrics (obs/metrics.h).
+  /// Shard-pool frames with at least one live PageRef. Zero between
+  /// operations — a non-zero value after a query returns means a leaked pin
+  /// (checked by the fault-injection tests). Buffer-pool state is published
+  /// to a MetricsRegistry by obs::ExportPagerMetrics (obs/metrics.h).
   size_t pinned_frame_count() const {
-    return shared_mode_ ? shared_pinned_.load(std::memory_order_relaxed)
-                        : pinned_frames_;
+    size_t n = 0;
+    for (const Shard& shard : shards_) {
+      n += shard.pinned.load(std::memory_order_relaxed);
+    }
+    return n;
   }
 
   /// Drops every unpinned frame (writing dirty ones back) so subsequent
   /// fetches hit the file. Benchmarks use it to take cold-cache readings.
   Status DropCache();
 
-  /// Switches the buffer pool into concurrent-read mode: flushes so every
-  /// frame is clean, then distributes the resident frames across the shard
-  /// pools (preserving recency, so a warm cache stays warm). Requires zero
-  /// live pins. After this, Fetch() is thread-safe for any thread holding a
+  /// Switches the pager into concurrent-read mode: flushes so every frame
+  /// is clean and opens the pool to readers (resident frames stay where
+  /// they are, so a warm cache stays warm). Requires zero live pins. After
+  /// this, Fetch() is thread-safe for any thread holding a
   /// PagerReadSession, and every mutating entry point returns
   /// Status::InvalidArgument until EndConcurrentReads().
   ///
@@ -321,17 +323,17 @@ class Pager {
   /// before. The writer publishes by calling Flush(), which drains open
   /// read sessions (sessions, not the mode, are the commit-epoch boundary:
   /// a session opened after the publish sees the new state), write-backs
-  /// the transaction through the journal, purges superseded frames from
-  /// the shard pools and re-opens the gate. Reader-side id validation runs
+  /// the transaction through the journal, hands the now-clean overlay
+  /// frames to the shard pool in place of their superseded copies and
+  /// re-opens the gate. Reader-side id validation runs
   /// against the published allocation snapshot, so readers can neither see
   /// a half-built page nor lose one the writer freed but has not
   /// committed.
   Status BeginConcurrentReads(bool single_writer = false);
 
-  /// Leaves concurrent-read mode, folding the shard pools back into the
-  /// exclusive-mode LRU (shard-local recency is preserved; cross-shard
-  /// ordering is approximate). Requires that all PageRefs and all
-  /// PagerReadSessions are closed.
+  /// Leaves concurrent-read mode (publishing first under single-writer
+  /// mode) and evicts down to the frame budget in exact LRU order. Requires
+  /// that all PageRefs and all PagerReadSessions are closed.
   Status EndConcurrentReads();
 
   bool concurrent_reads_active() const { return shared_mode_; }
@@ -359,39 +361,39 @@ class Pager {
   /// to call from any thread at any time.
   PagerRetryStats retry_stats() const;
 
-  /// Shard-load imbalance over the *current* concurrent-read epoch:
-  /// max(per-shard fetches) / mean(per-shard fetches), 0 when no shard saw
-  /// a fetch (or outside concurrent-read mode). 1.0 = perfectly even.
-  /// Per-shard fetch counters reset at each BeginConcurrentReads().
+  /// Shard-load imbalance over the latest concurrent-read epoch:
+  /// max(per-shard reader fetches) / mean(per-shard reader fetches), 0 when
+  /// no reader fetched yet. 1.0 = perfectly even. Per-shard fetch counters
+  /// reset at each BeginConcurrentReads().
   double ShardImbalance() const;
 
+  /// Shards of the buffer pool; ShardOf(id) = id % kPoolShards.
+  static constexpr size_t kPoolShards = 8;
+
  private:
+  /// A shard LRU entry: the page and the unpin stamp that ordered it.
+  struct LruSlot {
+    PageId id;
+    uint64_t stamp;
+  };
+
   struct Frame {
     std::vector<char> data;  // Full block; payload at payload_offset_.
     bool dirty = false;
-    // Atomic so concurrent-read pin/unpin from different shard-lock holders
-    // and the lock-free pinned_frame_count() probe are race-free. Exclusive
-    // mode only ever touches it single-threaded.
-    std::atomic<int> pins{0};
-    std::list<PageId>::iterator lru_pos;  // Valid iff in_lru.
-    bool in_lru = false;
-
-    Frame() = default;
-    Frame(Frame&& o) noexcept
-        : data(std::move(o.data)),
-          dirty(o.dirty),
-          pins(o.pins.load(std::memory_order_relaxed)),
-          lru_pos(o.lru_pos),
-          in_lru(o.in_lru) {}
+    int pins = 0;  // Guarded by the owning shard's mutex.
+    // A shard frame is on its shard's LRU exactly when unpinned; overlay
+    // frames are never on an LRU.
+    std::list<LruSlot>::iterator lru_pos;
   };
 
-  /// One concurrent-read shard: pages with ShardOf(id) == index live here
-  /// while shared mode is active. All fields are guarded by `mu`.
-  struct ReadShard {
+  /// One buffer-pool shard: pages with ShardOf(id) == index. `frames` and
+  /// `lru` are guarded by `mu`.
+  struct Shard {
     std::mutex mu;
     std::unordered_map<PageId, Frame> frames;
-    std::list<PageId> lru;  // Front = most recently used, unpinned only.
-    // Fetches routed to this shard in the current concurrent-read epoch
+    std::list<LruSlot> lru;  // Unpinned frames, front = newest stamp.
+    std::atomic<size_t> pinned{0};  // Frames with pins > 0; see Bump().
+    // Reader fetches routed here in the current concurrent-read epoch
     // (reset by BeginConcurrentReads); feeds ShardImbalance().
     std::atomic<uint64_t> fetches{0};
   };
@@ -432,16 +434,27 @@ class Pager {
   void Unpin(PageId id);
   void MarkDirty(PageId id);
 
-  // Concurrent-read machinery (pager.cc; active only between
-  // BeginConcurrentReads and EndConcurrentReads).
-  size_t ShardOf(PageId id) const { return id & shard_mask_; }
-  Result<PageRef> SharedFetch(PageId id);
-  void SharedUnpin(PageId id);
+  Shard& ShardOf(PageId id) { return shards_[id % kPoolShards]; }
+  // Shard pin counts change only under the shard's mutex, so a relaxed load
+  // and store suffice; pinned_frame_count() reads them without the lock.
+  static void Bump(std::atomic<size_t>& n, int delta) {
+    n.store(n.load(std::memory_order_relaxed) + delta,
+            std::memory_order_relaxed);
+  }
+  // Puts an unpinned shard frame at the front of its shard's LRU with the
+  // next unpin stamp. Caller holds shard.mu (or is in exclusive mode).
+  void Park(Shard& shard, Frame& frame, PageId id);
+  // The calling thread's innermost open session on this pager, or null.
+  PagerReadSession* FindSession() const;
+  // The frame of `id` as the mutating thread sees it: the writer's overlay
+  // under single-writer mode, otherwise the shard pool (exclusive mode, so
+  // no lock). Null when not resident.
+  Frame* MutableFrame(PageId id);
   void MergeSessionStats(const IoStats& delta);
   // Acquires shard.mu; on contention (try_lock failure) charges the wait to
   // cc_.shard_lock_waits / shard_lock_wait_ns. Uncontended path is just the
   // try_lock — no clock read.
-  std::unique_lock<std::mutex> LockShard(ReadShard& shard);
+  std::unique_lock<std::mutex> LockShard(Shard& shard);
   // Timed wrappers around file_->Sync() / journal_->Sync(); the only Sync
   // call sites, so cc_ sees every fsync.
   Status SyncDataFile();
@@ -456,9 +469,12 @@ class Pager {
   // stats_ at each publish; readers merge via sessions concurrently).
   IoStats& MutStats() { return shared_mode_ ? writer_stats_ : stats_; }
   // Flush()'s writer-thread form: drain read sessions, commit the
-  // transaction, purge superseded shard frames, advance the published
-  // allocation snapshot, re-open the gate.
+  // transaction, advance the published allocation snapshot, hand the
+  // overlay to the shard pool, re-open the gate.
   Status PublishWriter();
+  // Hands the clean overlay to the shard pool: each unpinned frame replaces
+  // its page's shard copy; a page the writer still pins stays here.
+  void ReleaseOverlay();
 
   Status LoadMeta();
   Status StoreMeta();
@@ -466,12 +482,14 @@ class Pager {
   // Flush's transaction body (journal pre-images, write-backs, meta,
   // commit). Shared between exclusive Flush() and PublishWriter().
   Status FlushBody();
+  // Exclusive mode: evicts least-recently-unpinned frames (writing dirty
+  // ones back) until the pool is within cache_frames_.
   Status EvictIfNeeded();
   Status WriteBack(PageId id, Frame* frame);
   // `sink` receives checksum_failures (the caller's IoStats: the pager-wide
   // accumulator in exclusive mode, the session's in concurrent-read mode).
   Status VerifyPageBlock(PageId id, const char* block, IoStats* sink);
-  // The one physical-read path behind Fetch()/SharedFetch() cache misses:
+  // The one physical-read path behind Fetch() cache misses:
   // ReadBlock + checksum verify, with the PagerOptions retry policy
   // (transient retries with capped exponential backoff, one optional CRC
   // re-read). Thread-safe; charges rc_, never `sink` beyond what a single
@@ -504,7 +522,6 @@ class Pager {
   PageId free_head_ = kInvalidPageId;
   uint64_t live_pages_ = 0;
   uint64_t commit_seq_ = 0;
-  size_t pinned_frames_ = 0;  // Frames with pins > 0.
 
   std::unordered_set<PageId> free_set_;
 
@@ -517,8 +534,9 @@ class Pager {
   bool txn_active_ = false;  // Any mutation since the last commit?
   uint64_t txn_base_blocks_ = 0;  // BlockCount() at the last commit.
 
-  std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> lru_;  // Front = most recently used, unpinned only.
+  std::array<Shard, kPoolShards> shards_;
+  std::atomic<uint64_t> unpin_clock_{0};  // Source of LruSlot::stamp.
+  std::atomic<size_t> resident_{0};       // Frames across all shards.
 
   std::vector<char> block_scratch_;    // One data block (pre-image reads).
   std::vector<char> journal_scratch_;  // One journal block.
@@ -529,10 +547,6 @@ class Pager {
   // other thread touches the pager (the executor's dispatch handshake
   // provides the happens-before edge), so it needs no atomicity itself.
   bool shared_mode_ = false;
-  size_t shard_mask_ = 0;  // shards - 1 (shard count is a power of two).
-  std::vector<std::unique_ptr<ReadShard>> shards_;
-  std::atomic<size_t> shared_frames_{0};  // Frames across all shards.
-  std::atomic<size_t> shared_pinned_{0};  // Pinned frames across all shards.
   std::mutex stats_mu_;  // Guards stats_ during session merges.
   ConcurrencyCounters cc_;  // See concurrency_stats().
 
@@ -543,6 +557,9 @@ class Pager {
   // belong to the writer's uncommitted transaction.
   bool swmr_ = false;
   std::thread::id writer_thread_{};
+  // The writer's private frames: fetched or allocated since its last
+  // publish, never evicted, touched by the writer thread only.
+  std::unordered_map<PageId, Frame> overlay_;
   IoStats writer_stats_;
   PageId published_next_page_id_ = 1;
   std::unordered_set<PageId> published_free_;
@@ -573,6 +590,10 @@ class PagerReadSession {
   /// This session's private counters (what this thread fetched so far).
   const IoStats& stats() const { return local_; }
 
+  /// True when the constructor waited for a single-writer publish (any
+  /// session this thread held on another pager was held across the wait).
+  bool waited_for_publish() const { return waited_for_publish_; }
+
  private:
   friend class Pager;
   Pager* pager_;
@@ -581,6 +602,7 @@ class PagerReadSession {
   // True when this session registered with the single-writer publish gate
   // (and so must deregister + wake a waiting publish on close).
   bool counted_ = false;
+  bool waited_for_publish_ = false;
 };
 
 }  // namespace cdb

@@ -1,5 +1,5 @@
 // Unit tests for the observability layer (ISSUE 1): MetricsRegistry
-// counters/gauges/histograms, the JSON writer/parser, span tracing with
+// counters/gauges, the JSON writer/parser, span tracing with
 // pager-delta attribution, and the fault path (injected read failures must
 // leave no pinned frames and no ambient tracer behind).
 
@@ -60,11 +60,6 @@ TEST(MetricsTest, DisabledRegistryDropsEventsButKeepsGauges) {
   c->Increment(100);
   EXPECT_EQ(c->value(), 0u);
 
-  Result<Histogram*> h = reg.histogram("latency", {1.0, 10.0});
-  ASSERT_TRUE(h.ok());
-  h.value()->Observe(0.5);
-  EXPECT_EQ(h.value()->count(), 0u);
-
   // Gauges are snapshot metrics: they store regardless of the flag.
   Gauge* g = reg.gauge("resident");
   g->Set(3);
@@ -75,56 +70,15 @@ TEST(MetricsTest, DisabledRegistryDropsEventsButKeepsGauges) {
   EXPECT_EQ(c->value(), 1u);
 }
 
-TEST(MetricsTest, HistogramBucketBoundsAreInclusiveUpperBounds) {
-  MetricsRegistry reg(/*enabled=*/true);
-  Result<Histogram*> r = reg.histogram("h", {1.0, 10.0, 100.0});
-  ASSERT_TRUE(r.ok());
-  Histogram* h = r.value();
-  h->Observe(0.0);    // Bucket 0.
-  h->Observe(1.0);    // Bucket 0 (bounds are inclusive).
-  h->Observe(1.001);  // Bucket 1.
-  h->Observe(10.0);   // Bucket 1.
-  h->Observe(100.0);  // Bucket 2.
-  h->Observe(101.0);  // Overflow.
-  h->Observe(1e9);    // Overflow.
-  EXPECT_EQ(h->bucket_count(0), 2u);
-  EXPECT_EQ(h->bucket_count(1), 2u);
-  EXPECT_EQ(h->bucket_count(2), 1u);
-  EXPECT_EQ(h->bucket_count(3), 2u);  // bounds.size() == overflow bucket.
-  EXPECT_EQ(h->count(), 7u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.0 + 1.0 + 1.001 + 10.0 + 100.0 + 101.0 + 1e9);
-}
-
-TEST(MetricsTest, HistogramRegistrationErrors) {
-  MetricsRegistry reg(/*enabled=*/true);
-  EXPECT_FALSE(reg.histogram("empty", {}).ok());
-  EXPECT_FALSE(reg.histogram("unsorted", {10.0, 1.0}).ok());
-  EXPECT_FALSE(reg.histogram("dup-bound", {1.0, 1.0}).ok());
-
-  ASSERT_TRUE(reg.histogram("h", {1.0, 2.0}).ok());
-  // Re-registration with identical bounds returns the same histogram ...
-  Result<Histogram*> again = reg.histogram("h", {1.0, 2.0});
-  ASSERT_TRUE(again.ok());
-  // ... and with different bounds is an error.
-  EXPECT_FALSE(reg.histogram("h", {1.0, 3.0}).ok());
-}
-
 TEST(MetricsTest, ResetAllZeroesEverythingAndKeepsHandles) {
   MetricsRegistry reg(/*enabled=*/true);
   Counter* c = reg.counter("c");
   Gauge* g = reg.gauge("g");
-  Histogram* h = reg.histogram("h", {5.0}).value();
   c->Increment(3);
   g->Set(9);
-  h->Observe(1);
-  h->Observe(100);
   reg.ResetAll();
   EXPECT_EQ(c->value(), 0u);
   EXPECT_DOUBLE_EQ(g->value(), 0.0);
-  EXPECT_EQ(h->count(), 0u);
-  EXPECT_DOUBLE_EQ(h->sum(), 0.0);
-  EXPECT_EQ(h->bucket_count(0), 0u);
-  EXPECT_EQ(h->bucket_count(1), 0u);
   EXPECT_EQ(reg.counter("c"), c);  // Handles survive the reset.
 }
 
@@ -133,7 +87,6 @@ TEST(MetricsTest, JsonSnapshotRoundTripsAndSortsByName) {
   reg.counter("z.last")->Increment(2);
   reg.counter("a.first")->Increment(1);
   reg.gauge("mid")->Set(0.25);
-  reg.histogram("lat", {1.0, 2.0}).value()->Observe(1.5);
 
   Result<JsonValue> doc = ParseJson(reg.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
@@ -148,13 +101,6 @@ TEST(MetricsTest, JsonSnapshotRoundTripsAndSortsByName) {
   const JsonValue* gauges = doc.value().Find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_DOUBLE_EQ(gauges->Find("mid")->number, 0.25);
-
-  const JsonValue* hists = doc.value().Find("histograms");
-  ASSERT_NE(hists, nullptr);
-  const JsonValue* lat = hists->Find("lat");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_DOUBLE_EQ(lat->Find("count")->number, 1.0);
-  EXPECT_DOUBLE_EQ(lat->Find("sum")->number, 1.5);
 }
 
 TEST(MetricsTest, ExportPagerMetricsPublishesGauges) {
@@ -502,32 +448,6 @@ TEST(MetricsConcurrencyTest, ConcurrentIncrementsAreExact) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c->value(), kThreads * kPerThread);
-}
-
-TEST(MetricsConcurrencyTest, ConcurrentHistogramObservationsAreExact) {
-  constexpr size_t kThreads = 8;
-  constexpr uint64_t kPerThread = 5000;
-  MetricsRegistry reg(/*enabled=*/true);
-  Histogram* h = reg.histogram("concurrent.h", {1.0, 2.0}).value();
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([h, t] {
-      // Thread t observes a constant landing in bucket t % 3 (2.5 is the
-      // overflow bucket), so per-bucket totals are predictable.
-      const double v = 0.5 + static_cast<double>(t % 3);
-      for (uint64_t i = 0; i < kPerThread; ++i) h->Observe(v);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(h->count(), kThreads * kPerThread);
-  // 8 threads over 3 buckets: t % 3 == 0 for t in {0,3,6} -> 3 threads,
-  // == 1 for {1,4,7} -> 3 threads, == 2 for {2,5} -> 2 threads.
-  EXPECT_EQ(h->bucket_count(0), 3 * kPerThread);
-  EXPECT_EQ(h->bucket_count(1), 3 * kPerThread);
-  EXPECT_EQ(h->bucket_count(2), 2 * kPerThread);
-  // The CAS-loop double accumulator loses nothing either.
-  EXPECT_DOUBLE_EQ(h->sum(),
-                   kPerThread * (3 * 0.5 + 3 * 1.5 + 2 * 2.5));
 }
 
 TEST(MetricsConcurrencyTest, ConcurrentRegistrationYieldsOneStableHandle) {

@@ -21,11 +21,10 @@ namespace {
 
 constexpr size_t kPageSize = 256;
 
-std::unique_ptr<Pager> MakePager(size_t cache_frames, size_t read_shards = 8) {
+std::unique_ptr<Pager> MakePager(size_t cache_frames) {
   PagerOptions opts;
   opts.page_size = kPageSize;
   opts.cache_frames = cache_frames;
-  opts.read_shards = read_shards;
   std::unique_ptr<Pager> pager;
   EXPECT_TRUE(
       Pager::Open(std::make_unique<MemFile>(kPageSize), opts, &pager).ok());
@@ -177,7 +176,7 @@ TEST(PagerConcurrencyTest, ConcurrentReadsSeeCorrectBytes) {
   // Cache smaller than the page count so threads race through misses,
   // duplicate loads, and evictions — the byte patterns must survive all of
   // those paths.
-  auto pager = MakePager(/*cache_frames=*/8, /*read_shards=*/4);
+  auto pager = MakePager(/*cache_frames=*/8);
   std::vector<PageId> ids = StampPages(pager.get(), 24);
 
   ASSERT_TRUE(pager->BeginConcurrentReads().ok());
@@ -206,8 +205,8 @@ TEST(PagerConcurrencyTest, ConcurrentReadsSeeCorrectBytes) {
 
 TEST(PagerConcurrencyTest, CapacityBoundedEviction) {
   constexpr size_t kCacheFrames = 8;
-  constexpr size_t kShards = 4;
-  auto pager = MakePager(kCacheFrames, kShards);
+  constexpr size_t kShards = Pager::kPoolShards;
+  auto pager = MakePager(kCacheFrames);
   std::vector<PageId> ids = StampPages(pager.get(), 32);
 
   ASSERT_TRUE(pager->BeginConcurrentReads().ok());
@@ -228,9 +227,10 @@ TEST(PagerConcurrencyTest, CapacityBoundedEviction) {
   // Eviction is shard-local and tolerates a transient overshoot of one
   // in-flight frame per reader, but once the dust settles the pool must be
   // back under budget (plus at most one unevictable frame per shard).
+  // Leaving the mode evicts the excess in LRU order.
   EXPECT_LE(pager->resident_frame_count(), kCacheFrames + kShards);
   ASSERT_TRUE(pager->EndConcurrentReads().ok());
-  EXPECT_LE(pager->resident_frame_count(), kCacheFrames + kShards);
+  EXPECT_LE(pager->resident_frame_count(), kCacheFrames);
   EXPECT_GT(pager->stats().buffer_evictions, 0u);
 }
 
@@ -250,10 +250,10 @@ TEST(PagerConcurrencyTest, WarmCacheSurvivesModeRoundTrip) {
   }
   ASSERT_TRUE(pager->EndConcurrentReads().ok());
 
-  // Every fetch inside shared mode hit the (redistributed) warm cache...
+  // Every fetch inside shared mode hit the warm cache...
   EXPECT_EQ(pager->stats().page_reads, reads_before);
 
-  // ...and the fold back into exclusive mode kept the frames resident too.
+  // ...and leaving the mode kept the frames resident too.
   for (PageId id : ids) ASSERT_TRUE(pager->Fetch(id).ok());
   EXPECT_EQ(pager->stats().page_reads, reads_before);
 }

@@ -128,7 +128,7 @@ TEST(PageRefPinTest, SharedModePinLifecycleMirrorsExclusive) {
     Result<PageRef> rb = pager->Fetch(b);
     ASSERT_TRUE(ra.ok() && rb.ok());
     EXPECT_EQ(pager->pinned_frame_count(), 2u);
-    // Move-assign across pages exercises SharedUnpin via Release.
+    // Move-assign across pages exercises the reader unpin via Release.
     rb.value() = std::move(ra.value());
     EXPECT_EQ(pager->pinned_frame_count(), 1u);
     rb.value().Release();

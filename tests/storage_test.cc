@@ -2,7 +2,13 @@
 
 #include <cstring>
 #include <filesystem>
+#include <list>
+#include <map>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "storage/fault_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
@@ -303,6 +309,182 @@ TEST(PagerTest, ResidentAndPinnedFrameCounts) {
   EXPECT_EQ(pager->resident_frame_count(), 2u);
   ASSERT_TRUE(pager->DropCache().ok());
   EXPECT_EQ(pager->resident_frame_count(), 0u);
+}
+
+// Reference model of the paper's buffer: one LRU list of unpinned frames
+// (front = most recently unpinned), write-back of dirty victims, eviction
+// after every fetch or allocation while the pool is over budget.
+class LruModel {
+ public:
+  explicit LruModel(size_t frames) : frames_(frames) {}
+
+  void Allocate(PageId id) {
+    resident_[id] = Frame{/*dirty=*/true, /*pins=*/0};
+    lru_.push_front(id);
+    Evict();
+  }
+  void Fetch(PageId id) {
+    ++stats.page_fetches;
+    auto it = resident_.find(id);
+    if (it == resident_.end()) {
+      ++stats.page_reads;
+      it = resident_.emplace(id, Frame{}).first;
+    } else {
+      ++stats.buffer_hits;
+      if (it->second.pins == 0) lru_.remove(id);
+    }
+    ++it->second.pins;
+    Evict();
+  }
+  void Unpin(PageId id) {
+    if (--resident_.at(id).pins == 0) lru_.push_front(id);
+  }
+  void MarkDirty(PageId id) { resident_.at(id).dirty = true; }
+  void Flush() {
+    for (auto& [id, frame] : resident_) frame.dirty = false;
+  }
+  size_t resident() const { return resident_.size(); }
+  size_t pinned() const { return resident_.size() - lru_.size(); }
+  // Every resident page: pinned ones first, then the unpinned ones from
+  // least to most recently used, so refetching them in this order leaves
+  // the recency order as it was.
+  std::vector<PageId> ProbeOrder() const {
+    std::vector<PageId> order;
+    for (const auto& [id, frame] : resident_) {
+      if (frame.pins > 0) order.push_back(id);
+    }
+    order.insert(order.end(), lru_.rbegin(), lru_.rend());
+    return order;
+  }
+
+  IoStats stats;
+
+ private:
+  struct Frame {
+    bool dirty = false;
+    int pins = 0;
+  };
+  void Evict() {
+    while (resident_.size() > frames_ && !lru_.empty()) {
+      const PageId victim = lru_.back();
+      lru_.pop_back();
+      if (resident_.at(victim).dirty) ++stats.dirty_writebacks;
+      ++stats.buffer_evictions;
+      resident_.erase(victim);
+    }
+  }
+
+  size_t frames_;
+  std::map<PageId, Frame> resident_;
+  std::list<PageId> lru_;
+};
+
+// The sharded pool must replay the single global LRU exactly: a seeded
+// random trace of allocations, fetches, dirtying and unpins (with up to
+// three pins held across steps) gives the same counters and the same
+// resident set as the model after every step, including after a
+// concurrent-read epoch.
+TEST(PagerLruTest, RandomTraceMatchesExactLruModel) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const size_t frames = 3 + static_cast<size_t>(seed);  // 4..8 frames.
+    auto pager = MakeMemPager(frames);
+    LruModel model(frames);
+    Rng rng(seed);
+    std::vector<PageId> pages;
+    std::vector<std::pair<PageId, PageRef>> held;
+
+    auto fetch = [&](PageId id) {
+      Result<PageRef> ref = pager->Fetch(id);
+      EXPECT_TRUE(ref.ok());
+      model.Fetch(id);
+      return std::move(ref).value();
+    };
+    auto release = [&](size_t i) {
+      held[i].second.Release();
+      model.Unpin(held[i].first);
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    };
+    // Counters must agree, and every page the model holds must be a hit:
+    // with equal frame counts that makes the resident sets equal.
+    auto check = [&](int step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const uint64_t reads = pager->stats().page_reads;
+      for (PageId id : model.ProbeOrder()) {
+        fetch(id);  // Temporary ref: released (and re-parked) at once.
+        model.Unpin(id);
+      }
+      EXPECT_EQ(pager->stats().page_reads, reads) << "a model page missed";
+      const IoStats& s = pager->stats();
+      EXPECT_EQ(s.page_fetches, model.stats.page_fetches);
+      EXPECT_EQ(s.buffer_hits, model.stats.buffer_hits);
+      EXPECT_EQ(s.page_reads, model.stats.page_reads);
+      EXPECT_EQ(s.buffer_evictions, model.stats.buffer_evictions);
+      EXPECT_EQ(s.dirty_writebacks, model.stats.dirty_writebacks);
+      EXPECT_EQ(pager->resident_frame_count(), model.resident());
+      EXPECT_EQ(pager->pinned_frame_count(), model.pinned());
+    };
+    auto run_trace = [&](int steps) {
+      for (int step = 0; step < steps; ++step) {
+        const int64_t op = rng.UniformInt(0, 9);
+        if (pages.empty() || (op == 0 && pages.size() < 32)) {
+          Result<PageId> id = pager->Allocate();
+          ASSERT_TRUE(id.ok());
+          model.Allocate(id.value());
+          pages.push_back(id.value());
+        } else if (op <= 5) {
+          const PageId id = pages[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(pages.size()) - 1))];
+          held.emplace_back(id, fetch(id));
+          if (held.size() > 3 || rng.Chance(0.6)) release(held.size() - 1);
+        } else if (op <= 7 && !held.empty()) {
+          auto& [id, ref] = held[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1))];
+          ref.MarkDirty();
+          model.MarkDirty(id);
+        } else if (!held.empty()) {
+          release(static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1)));
+        }
+        check(step);
+      }
+    };
+
+    run_trace(400);
+    while (!held.empty()) release(held.size() - 1);
+    check(400);
+
+    // Epoch: the mode switch keeps every frame where it is. A reader
+    // re-touches the resident pages in recency order (pure hits), and
+    // afterwards they are all still resident, in the same LRU order.
+    const std::vector<PageId> resident = model.ProbeOrder();
+    const uint64_t reads_before = pager->stats().page_reads;
+    ASSERT_TRUE(pager->BeginConcurrentReads().ok());
+    model.Flush();
+    std::thread reader([&] {
+      PagerReadSession session(pager.get());
+      for (PageId id : resident) EXPECT_TRUE(pager->Fetch(id).ok());
+    });
+    reader.join();
+    for (PageId id : resident) {
+      model.Fetch(id);
+      model.Unpin(id);
+    }
+    ASSERT_TRUE(pager->EndConcurrentReads().ok());
+    EXPECT_EQ(pager->stats().page_reads, reads_before);
+    // Fresh pages now push out the coldest half; which half that is
+    // depends on the recency order the epoch left behind.
+    for (size_t i = 0; i < frames / 2; ++i) {
+      Result<PageId> id = pager->Allocate();
+      ASSERT_TRUE(id.ok());
+      model.Allocate(id.value());
+      pages.push_back(id.value());
+    }
+    check(401);
+    run_trace(200);
+    while (!held.empty()) release(held.size() - 1);
+    check(601);
+  }
 }
 
 TEST(FaultInjectionTest, FailAfterCountsDown) {
