@@ -222,19 +222,6 @@ Measurement MeasureNaive(Dataset* ds, const std::vector<CalibratedQuery>& qs) {
 
 namespace {
 
-// Restores the process-wide batching toggle on scope exit so a measurement
-// pass cannot leak its forced mode into later benches.
-class ScopedBatching {
- public:
-  explicit ScopedBatching(bool enabled) : prev_(RefineBatchingEnabled()) {
-    SetRefineBatchingEnabled(enabled);
-  }
-  ~ScopedBatching() { SetRefineBatchingEnabled(prev_); }
-
- private:
-  bool prev_;
-};
-
 std::vector<TupleId> AllLiveIds(const Relation& relation) {
   std::vector<TupleId> ids;
   Status st = relation.ForEach([&ids](TupleId id, const GeneralizedTuple&) {
@@ -256,8 +243,7 @@ double NanosSince(std::chrono::steady_clock::time_point start) {
 
 RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
                                        const std::vector<CalibratedQuery>& qs,
-                                       bool batched, int reps) {
-  ScopedBatching mode(batched);
+                                       int reps) {
   const std::vector<TupleId> ids = AllLiveIds(*ds->relation);
   obs::Counter* lp_calls = obs::GlobalMetrics().counter("bench.refine.lp_calls");
 
@@ -284,6 +270,16 @@ RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
     std::vector<TupleId> work = ids;
     refine_pass(cq, &work);
     reads += ds->rel_pager->stats().Delta(before).page_reads;
+    Result<std::vector<TupleId>> truth =
+        NaiveSelect(*ds->relation, cq.type, cq.query);
+    Check(truth.status(), "naive select");
+    if (work != truth.value()) {
+      std::fprintf(stderr,
+                   "FATAL: refine accepts differ from NaiveSelect over the "
+                   "same ids and queries (%zu vs %zu accepted)\n",
+                   work.size(), truth.value().size());
+      std::abort();
+    }
     out.accepts += static_cast<double>(work.size());
     out.candidates += static_cast<double>(ids.size());
   }
@@ -306,8 +302,7 @@ RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
 
 WarmLatency MeasureWarmLatency(Dataset* ds,
                                const std::vector<CalibratedQuery>& qs,
-                               QueryMethod method, bool batched, int rounds) {
-  ScopedBatching mode(batched);
+                               QueryMethod method, int rounds) {
   auto run_pass = [&](std::vector<double>* samples) {
     for (const CalibratedQuery& cq : qs) {
       auto start = std::chrono::steady_clock::now();
@@ -336,31 +331,18 @@ void ReportRefineRows(Dataset* ds, const std::vector<CalibratedQuery>& qs,
                       const BenchReporter::Params& base_params, bool warm,
                       QueryMethod method) {
   if (reporter == nullptr || !reporter->enabled()) return;
-  double accepts[2] = {0, 0};
-  for (int b = 0; b < 2; ++b) {
-    BenchReporter::Params params = base_params;
-    params.emplace_back("batched", static_cast<double>(b));
-    RefineSubstrate rs = MeasureRefineSubstrate(ds, qs, b != 0);
-    accepts[b] = rs.accepts;
-    reporter->AddValue("refine", params, "ns_per_candidate",
-                       rs.ns_per_candidate);
-    reporter->AddValue("refine", params, "pages_per_candidate",
-                       rs.pages_per_candidate);
-    reporter->AddValue("refine", params, "candidates", rs.candidates);
-    reporter->AddValue("refine", params, "accepts", rs.accepts);
-    if (warm) {
-      WarmLatency wl = MeasureWarmLatency(ds, qs, method, b != 0);
-      reporter->AddValue("warm_latency", params, "p50_us", wl.p50_us);
-      reporter->AddValue("warm_latency", params, "p99_us", wl.p99_us);
-      reporter->AddValue("warm_latency", params, "samples", wl.samples);
-    }
-  }
-  if (accepts[0] != accepts[1]) {
-    std::fprintf(stderr,
-                 "FATAL: batched refinement accepted %.0f candidates, "
-                 "scalar accepted %.0f\n",
-                 accepts[1], accepts[0]);
-    std::abort();
+  RefineSubstrate rs = MeasureRefineSubstrate(ds, qs);
+  reporter->AddValue("refine", base_params, "ns_per_candidate",
+                     rs.ns_per_candidate);
+  reporter->AddValue("refine", base_params, "pages_per_candidate",
+                     rs.pages_per_candidate);
+  reporter->AddValue("refine", base_params, "candidates", rs.candidates);
+  reporter->AddValue("refine", base_params, "accepts", rs.accepts);
+  if (warm) {
+    WarmLatency wl = MeasureWarmLatency(ds, qs, method);
+    reporter->AddValue("warm_latency", base_params, "p50_us", wl.p50_us);
+    reporter->AddValue("warm_latency", base_params, "p99_us", wl.p99_us);
+    reporter->AddValue("warm_latency", base_params, "samples", wl.samples);
   }
 }
 

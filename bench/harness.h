@@ -87,13 +87,12 @@ Measurement MeasureRTree(Dataset* ds, const std::vector<CalibratedQuery>& qs);
 /// Naive full-scan baseline (page accesses on the relation pager).
 Measurement MeasureNaive(Dataset* ds, const std::vector<CalibratedQuery>& qs);
 
-/// Refinement-substrate measurement (ISSUE 8): every live tuple id refined
-/// against each query through the shared batch refiner, with batching
-/// forced on or off. Isolates the refinement constants behind the figure
-/// benches: cost per candidate and physical relation-pager reads per
-/// candidate (cold cache, candidates in ascending id order). The accept
-/// count is seed-pinned and must match between the two modes — the bench
-/// aborts if the batched path changes any decision.
+/// Refinement-substrate measurement: every live tuple id refined against
+/// each query through the shared batch refiner. Isolates the refinement
+/// constants behind the figure benches: cost per candidate and physical
+/// relation-pager reads per candidate (cold cache, candidates in ascending
+/// id order). The bench aborts if any query's accepted ids differ from
+/// NaiveSelect's over the same relation.
 struct RefineSubstrate {
   double ns_per_candidate = 0;     // Warm timing, min over repetitions.
   double pages_per_candidate = 0;  // Physical reads / candidates (cold).
@@ -102,11 +101,10 @@ struct RefineSubstrate {
 };
 RefineSubstrate MeasureRefineSubstrate(Dataset* ds,
                                        const std::vector<CalibratedQuery>& qs,
-                                       bool batched, int reps = 3);
+                                       int reps = 3);
 
 /// Warm end-to-end Select latency percentiles in microseconds: one
-/// untimed warm-up pass, then `rounds` timed passes over the query set
-/// with batching forced on or off.
+/// untimed warm-up pass, then `rounds` timed passes over the query set.
 struct WarmLatency {
   double p50_us = 0;
   double p99_us = 0;
@@ -114,8 +112,7 @@ struct WarmLatency {
 };
 WarmLatency MeasureWarmLatency(Dataset* ds,
                                const std::vector<CalibratedQuery>& qs,
-                               QueryMethod method, bool batched,
-                               int rounds = 20);
+                               QueryMethod method, int rounds = 20);
 
 /// Fixed-width table output helpers.
 void PrintTableHeader(const std::string& title,
@@ -170,12 +167,11 @@ class BenchReporter {
   std::vector<Row> rows_;
 };
 
-/// Emits the paired scalar/batched "refine" rows (ns_per_candidate,
-/// pages_per_candidate, candidates, accepts) and, when `warm` is set, the
-/// matching "warm_latency" rows (p50_us, p99_us) — each under
-/// `base_params` plus a batched=0|1 coordinate. No-op when the reporter is
-/// disabled. Aborts if the batched path accepts a different candidate set
-/// than the scalar one.
+/// Emits one "refine" row (ns_per_candidate, pages_per_candidate,
+/// candidates, accepts) and, when `warm` is set, one "warm_latency" row
+/// (p50_us, p99_us) under `base_params`. No-op when the reporter is
+/// disabled. Aborts if the refiner's accepts differ from NaiveSelect over
+/// the same ids and queries.
 void ReportRefineRows(Dataset* ds, const std::vector<CalibratedQuery>& qs,
                       BenchReporter* reporter,
                       const BenchReporter::Params& base_params, bool warm,

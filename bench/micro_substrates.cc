@@ -267,10 +267,8 @@ void MeasureChecksumOverhead(bench::BenchReporter* out) {
                 cold[1] / cold[0]);
 }
 
-// Refinement-substrate rows (ISSUE 8): ns and physical relation pages per
-// candidate, scalar vs batched, over a fig8-style dataset.
-// scripts/check_bench_json.py requires both rows and asserts the batched
-// page count never exceeds the scalar one.
+// Refinement-substrate row: ns and physical relation pages per candidate
+// over a fig8-style dataset. scripts/check_bench_json.py requires it.
 void MeasureRefineCost(bench::BenchReporter* out) {
   bench::DatasetConfig config;
   config.n = 2000;

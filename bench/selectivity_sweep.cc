@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
       "\nExpected shape: T2 beats the R+-tree across the whole band, with\n"
       "the ALL advantage consistently wider (paper Section 5).\n");
 
-  // Refinement substrate + warm latency at the paper's headline band,
-  // scalar vs batched (ISSUE 8).
+  // Refinement substrate + warm latency at the paper's headline band.
   Rng rrng(31999);
   auto refine_qs =
       MakeQueries(*ds.relation, SelectionType::kExist, 6, 0.10, 0.15, &rrng);

@@ -318,8 +318,8 @@ int Run(int argc, char** argv) {
               "(serial vs 1-thread executor)\n",
               mismatches, batch.size());
 
-  // Refinement substrate, scalar vs batched (ISSUE 8);
-  // check_bench_json.py requires both rows on this artifact.
+  // Refinement substrate; check_bench_json.py requires the refine row on
+  // this artifact.
   {
     Rng rrng(kSeed + 1);
     auto rq = MakeQueries(*ds.relation, SelectionType::kExist, 6, 0.05, 0.20,

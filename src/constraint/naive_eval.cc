@@ -8,10 +8,17 @@
 
 namespace cdb {
 
+Status ValidateHalfPlaneQuery(const HalfPlaneQuery& q) {
+  if (!std::isfinite(q.slope) || std::isnan(q.intercept)) {
+    return Status::InvalidArgument("query slope/intercept must be finite");
+  }
+  return Status::OK();
+}
 
 Result<std::vector<TupleId>> NaiveSelect(const Relation& relation,
                                          SelectionType type,
                                          const HalfPlaneQuery& query) {
+  CDB_RETURN_IF_ERROR(ValidateHalfPlaneQuery(query));
   std::vector<TupleId> out;
   Status st = relation.ForEach(
       [&](TupleId id, const GeneralizedTuple& tuple) -> Status {

@@ -17,6 +17,12 @@ namespace cdb {
 /// Query type per Section 2 of the paper.
 enum class SelectionType { kAll, kExist };
 
+/// InvalidArgument for a NaN or infinite slope or a NaN intercept; OK
+/// otherwise (an infinite intercept is a legal degenerate half-plane).
+/// Every 2-D selection entry point — DualIndex::Select, the RTreeSelect
+/// overloads and NaiveSelect — rejects a query through this one check.
+Status ValidateHalfPlaneQuery(const HalfPlaneQuery& q);
+
 /// Exact ALL(q, r) or EXIST(q, r) by scanning the relation. Results are in
 /// ascending tuple-id order.
 Result<std::vector<TupleId>> NaiveSelect(const Relation& relation,

@@ -1,6 +1,6 @@
 #include "constraint/refine_batch.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 
 #include "geometry/dual.h"
@@ -9,8 +9,6 @@
 namespace cdb {
 
 namespace {
-
-std::atomic<bool> g_batching_enabled{true};
 
 /// Extremes of f(x, y) = y - slope*x over the corners of `box`. For a tuple
 /// whose extension lies inside the box, BOT^t(slope) >= *f_min and
@@ -30,7 +28,7 @@ inline void BoxSupport(const Rect& box, double slope, double* f_min,
 /// tuple shape. The Definitely* margin (kEps * scale, ~1e-9 relative)
 /// dominates the ~1e-16 relative rounding between the corner arithmetic
 /// and the LP's support values, so every box decision agrees with the
-/// decision the scalar LP predicate would have made (DESIGN.md §2h).
+/// decision the LP predicate would have made (DESIGN.md §2h).
 inline int DecideFromBox(const Rect& box, SelectionType type,
                          const HalfPlaneQuery& q) {
   double f_min, f_max;
@@ -48,7 +46,7 @@ inline int DecideFromBox(const Rect& box, SelectionType type,
 }
 
 /// ExactAll/ExactExist (geometry/dual.cc) restructured over a
-/// pre-normalized SoA slice, decision-identical to the scalar pair:
+/// pre-normalized SoA slice, decision-identical to that pair:
 ///
 ///   ALL(q(>=))  iff  b <= BOT;   ALL(q(<=))  iff  b >= TOP;
 ///   EXIST(q(>=)) iff b <= TOP;  EXIST(q(<=)) iff b >= BOT.
@@ -80,37 +78,10 @@ bool ExactHalfPlaneSlice(const NormSlice2D& slice, SelectionType type,
 
 }  // namespace
 
-void SetRefineBatchingEnabled(bool enabled) {
-  g_batching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool RefineBatchingEnabled() {
-  return g_batching_enabled.load(std::memory_order_relaxed);
-}
-
 Status RefineBatch2D(const Relation& relation, SelectionType type,
                      const HalfPlaneQuery& q, obs::Counter* lp_calls,
                      const QueryContext* ctx, std::vector<TupleId>* ids,
                      obs::FilterCounts* filter, uint64_t* false_hits) {
-  // Resolve the substrate exactly once for this query. The delegation
-  // below passes the resolved value instead of letting RefinePageClustered
-  // re-read the toggle: a concurrent SetRefineBatchingEnabled between two
-  // reads would otherwise run the "scalar" fallback batched and mix both
-  // substrates' booking in one FilterCounts.
-  if (!RefineBatchingEnabled()) {
-    // Historical scalar reference: per-candidate checkpoint + Get + LP.
-    return RefinePageClustered<Relation, GeneralizedTuple>(
-        relation, lp_calls, ctx, ids, filter, false_hits,
-        [&](const GeneralizedTuple& tuple) {
-          return type == SelectionType::kAll
-                     ? ExactAll(tuple.constraints(), q)
-                     : ExactExist(tuple.constraints(), q);
-        },
-        /*batched=*/false);
-  }
-
-  static obs::Counter* const batch_pages =
-      obs::GlobalMetrics().counter("refine.batch.pages");
   static obs::Counter* const batch_candidates =
       obs::GlobalMetrics().counter("refine.batch.candidates");
   static obs::Counter* const bbox_accepts =
@@ -120,64 +91,45 @@ Status RefineBatch2D(const Relation& relation, SelectionType type,
 
   CDB_TRACE_SPAN("refine");
   batch_candidates->Increment(ids->size());
-  std::vector<TupleId> kept;
-  kept.reserve(ids->size());
-  NormSoa2D soa;
-  std::optional<PageRef> page;
-  PageId pinned = kInvalidPageId;
-
+  // Layer (c), before any fetch: box-provable candidates are decided
+  // without a fetch or an LP; the rest go to the page loop.
+  std::vector<TupleId> box_kept;
+  std::vector<TupleId> undecided;
+  undecided.reserve(ids->size());
+  uint64_t box_rejected = 0;
   for (TupleId id : *ids) {
-    // Layer (c): decide box-provable candidates without any fetch or LP.
     Rect box;
-    if (relation.CachedBoundingBox(id, &box)) {
-      int decision = DecideFromBox(box, type, q);
-      if (decision > 0) {
-        kept.push_back(id);
-        ++filter->early_accepts;
-        bbox_accepts->Increment();
-        continue;
-      }
-      if (decision < 0) {
-        ++*false_hits;
-        ++filter->refine_rejects;
-        bbox_rejects->Increment();
-        continue;
-      }
-    }
-    // Layer (a): ascending ids cluster into consecutive page runs; pin
-    // each run's page once. Checkpoints fire at page granularity.
-    PageId pid;
-    CDB_RETURN_IF_ERROR(relation.LocateTuple(id, &pid));
-    if (!page.has_value() || pid != pinned) {
-      page.reset();
-      CDB_RETURN_IF_ERROR(CheckQueryContext(ctx));
-      Result<PageRef> ref = [&] {
-        CDB_TRACE_SPAN("fetch-page");
-        return relation.pager()->Fetch(pid);
-      }();
-      if (!ref.ok()) return ref.status();
-      page.emplace(std::move(ref.value()));
-      pinned = pid;
-      batch_pages->Increment();
-    }
-    GeneralizedTuple tuple;
-    CDB_RETURN_IF_ERROR(relation.GetFromPage(*page, id, &tuple));
-    // Layer (b): normalize into the reused SoA buffers and decide via the
-    // flat-loop kernels.
-    CDB_TRACE_SPAN("lp");
-    lp_calls->Increment();
-    soa.clear();
-    AppendNormalized2D(tuple.constraints(), &soa);
-    NormSlice2D slice{&soa, 0, soa.size()};
-    if (ExactHalfPlaneSlice(slice, type, q)) {
-      kept.push_back(id);
-      ++filter->refine_accepts;
+    int decision = relation.CachedBoundingBox(id, &box)
+                       ? DecideFromBox(box, type, q)
+                       : 0;
+    if (decision > 0) {
+      box_kept.push_back(id);
+    } else if (decision < 0) {
+      ++box_rejected;
     } else {
-      ++*false_hits;
-      ++filter->refine_rejects;
+      undecided.push_back(id);
     }
   }
-  *ids = std::move(kept);
+  filter->early_accepts += box_kept.size();
+  filter->refine_rejects += box_rejected;
+  *false_hits += box_rejected;
+  bbox_accepts->Increment(box_kept.size());
+  bbox_rejects->Increment(box_rejected);
+
+  // Layers (a) + (b): the shared page loop, deciding through the SoA
+  // kernels over a reused buffer.
+  NormSoa2D soa;
+  Status st = RefinePageClustered<Relation, GeneralizedTuple>(
+      relation, lp_calls, ctx, &undecided, filter, false_hits,
+      [&](const GeneralizedTuple& tuple) {
+        soa.clear();
+        AppendNormalized2D(tuple.constraints(), &soa);
+        return ExactHalfPlaneSlice(NormSlice2D{&soa, 0, soa.size()}, type, q);
+      });
+  if (!st.ok()) return st;
+  ids->resize(box_kept.size() + undecided.size());
+  std::merge(box_kept.begin(), box_kept.end(), undecided.begin(),
+             undecided.end(), ids->begin());
   return Status::OK();
 }
 

@@ -300,16 +300,17 @@ Status DDimDualIndex::Refine(SelectionType type, const HalfPlaneQueryD& q,
                              const QueryContext* ctx) {
   static obs::Counter* const lp_calls =
       obs::GlobalMetrics().counter("ddim.refine.lp_calls");
+  static obs::Counter* const batch_candidates =
+      obs::GlobalMetrics().counter("refine.batch.candidates");
+  CDB_TRACE_SPAN("refine");
+  batch_candidates->Increment(ids->size());
   return RefinePageClustered<RelationD, GeneralizedTupleD>(
       *relation_, lp_calls, ctx, ids, &st->filter, &st->false_hits,
       [&](const GeneralizedTupleD& tuple) {
         return type == SelectionType::kAll
                    ? ExactAllD(tuple.constraints(), q)
                    : ExactExistD(tuple.constraints(), q);
-      },
-      // Substrate resolved once per query (a toggle flip mid-query must
-      // not tear this query's FilterCounts across both loops).
-      RefineBatchingEnabled());
+      });
 }
 
 Result<std::vector<TupleId>> DDimDualIndex::SelectT1(SelectionType type,

@@ -718,10 +718,7 @@ Result<std::vector<TupleId>> DualIndex::Select(SelectionType type,
                                                QueryStats* stats,
                                                obs::ExplainProfile* profile,
                                                const QueryContext* ctx) {
-  if (std::isnan(q.slope) || std::isnan(q.intercept) ||
-      std::isinf(q.slope)) {
-    return Status::InvalidArgument("query slope/intercept must be finite");
-  }
+  CDB_RETURN_IF_ERROR(ValidateHalfPlaneQuery(q));
   if (slope_observer_ != nullptr) slope_observer_->Observe(q.slope);
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;

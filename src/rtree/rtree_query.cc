@@ -14,6 +14,7 @@ Result<std::vector<TupleId>> SelectImpl(Tree* tree, Relation* relation,
                                         QueryStats* stats,
                                         obs::ExplainProfile* profile,
                                         const QueryContext* ctx) {
+  CDB_RETURN_IF_ERROR(ValidateHalfPlaneQuery(q));
   QueryStats local;
   QueryStats* st = stats != nullptr ? stats : &local;
   *st = QueryStats();

@@ -18,15 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraint/naive_eval.h"
-#include "constraint/refine_batch.h"
 #include "exec/query_executor.h"
 #include "pager_test_util.h"
 #include "storage/file.h"
@@ -288,22 +285,12 @@ TEST(ExecOnlineTest, WriterCapacityAndDeleteGuards) {
   ASSERT_TRUE(fx.relation->Delete(0).ok());
 }
 
-// Restores the process-wide batching toggle on scope exit so a failing
-// assertion cannot leak scalar mode into later tests.
-class ScopedBatchingDefault {
- public:
-  ~ScopedBatchingDefault() { SetRefineBatchingEnabled(true); }
-};
-
-// ISSUE 9 satellite 1: SetRefineBatchingEnabled races live queries. The
-// toggle must be read exactly once per query — a query that samples it
-// twice (the old RefineBatch2D -> RefinePageClustered double read) can
-// straddle a flip and run half scalar / half batched, double-booking its
-// FilterCounts partitions. With bbox early-decisions enabled the two modes
-// book accepts into different buckets, so any tear breaks Balances() or
-// the ground-truth match; TSan additionally proves the reads are clean.
-TEST(ExecOnlineTest, RefineBatchingToggleRaceResolvesOncePerQuery) {
-  ScopedBatchingDefault restore;
+// Bounding-box early decisions under a parallel batch: with the sidecar
+// enabled, refinement books some accepts as early_accepts and skips their
+// fetches, on eight workers at once. Every query must still match the
+// NaiveSelect truth with balanced FilterCounts; TSan proves the workers'
+// concurrent sidecar reads are clean.
+TEST(ExecOnlineTest, BoxDecidedRefinementMatchesTruthAcrossThreads) {
   OnlineFixture fx(/*incremental=*/false, /*n0=*/250);
   ASSERT_TRUE(fx.relation->EnableBoundingBoxCache().ok());
   std::vector<exec::BatchQuery> batch = MakeBatch(64, kSeed + 4,
@@ -312,16 +299,6 @@ TEST(ExecOnlineTest, RefineBatchingToggleRaceResolvesOncePerQuery) {
   for (const exec::BatchQuery& q : batch) {
     truth.push_back(fx.Truth(q.type, q.query));
   }
-
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    bool v = false;
-    while (!stop.load(std::memory_order_relaxed)) {
-      SetRefineBatchingEnabled(v);
-      v = !v;
-      std::this_thread::yield();
-    }
-  });
 
   exec::QueryExecutor executor(kThreads);
   for (int round = 0; round < 4; ++round) {
@@ -332,12 +309,9 @@ TEST(ExecOnlineTest, RefineBatchingToggleRaceResolvesOncePerQuery) {
       EXPECT_EQ(results[i].ids, truth[i]) << "round " << round << " query "
                                           << i;
       EXPECT_TRUE(results[i].stats.filter.Balances())
-          << "round " << round << " query " << i
-          << " tore its refinement mode across a toggle flip";
+          << "round " << round << " query " << i;
     }
   }
-  stop.store(true, std::memory_order_relaxed);
-  flipper.join();
 }
 
 // ISSUE 9 satellite 2: the bounding-box sidecar on the live-append path.
@@ -347,8 +321,6 @@ TEST(ExecOnlineTest, RefineBatchingToggleRaceResolvesOncePerQuery) {
 // slots become visible exactly at PublishAppends. TSan proves the mirror
 // is never read while it reallocates or grows.
 TEST(ExecOnlineTest, BboxSidecarLiveAppendsNeverServeStaleBoxes) {
-  ScopedBatchingDefault restore;
-  SetRefineBatchingEnabled(true);  // Batched refinement consults the boxes.
   OnlineFixture fx(/*incremental=*/true, /*n0=*/250);
   ASSERT_TRUE(fx.relation->EnableBoundingBoxCache().ok());
 

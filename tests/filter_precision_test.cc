@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "dualindex/ddim_index.h"
@@ -362,6 +363,81 @@ TEST(FilterPrecisionTest, RTreePathBalancesAndMatchesNaive) {
       EXPECT_EQ(stats.filter.early_accepts, 0u);  // R+-tree always refines.
     }
   }
+}
+
+// A NaN or infinite slope and a NaN intercept are InvalidArgument on every
+// 2-D selection path. GreaterOrEq(x, NaN) holds, so a path that let a NaN
+// intercept through would find every box intersecting and every refinement
+// accepting: all tuples, status OK.
+TEST(FilterPrecisionTest, NonFiniteQueryIsInvalidOnEveryPath) {
+  IndexFixture fx(607);
+  auto rplus_pager = MakePager();
+  auto guttman_pager = MakePager();
+  auto quad_pager = MakePager();
+  std::vector<std::pair<Rect, TupleId>> rects;
+  WorkloadOptions w;
+  for (int i = 0; i < 50; ++i) {
+    GeneralizedTuple t = RandomBoundedTuple(&fx.rng, w);
+    Result<TupleId> id = fx.relation->Insert(t);
+    ASSERT_TRUE(id.ok());
+    Rect box;
+    ASSERT_TRUE(t.GetBoundingRect(&box));
+    rects.push_back({box, id.value()});
+  }
+  fx.BuildIndex();
+  std::unique_ptr<RPlusTree> rplus;
+  ASSERT_TRUE(RPlusTree::BulkBuild(rplus_pager.get(), rects, &rplus).ok());
+  std::unique_ptr<GuttmanRTree> guttman;
+  ASSERT_TRUE(
+      GuttmanRTree::BulkBuild(guttman_pager.get(), rects, &guttman).ok());
+  std::unique_ptr<MxCifQuadtree> quad;
+  ASSERT_TRUE(MxCifQuadtree::Create(quad_pager.get(),
+                                    Rect(-1000, -1000, 1000, 1000), 8, &quad)
+                  .ok());
+  for (const auto& [box, id] : rects) ASSERT_TRUE(quad->Insert(box, id).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const HalfPlaneQuery bad[] = {
+      HalfPlaneQuery(0.5, nan, Cmp::kGE), HalfPlaneQuery(0.5, nan, Cmp::kLE),
+      HalfPlaneQuery(nan, 1.0, Cmp::kGE), HalfPlaneQuery(inf, 1.0, Cmp::kLE),
+      HalfPlaneQuery(-inf, 1.0, Cmp::kGE)};
+  for (const HalfPlaneQuery& q : bad) {
+    for (SelectionType type : {SelectionType::kAll, SelectionType::kExist}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "slope=" << q.slope << " b=" << q.intercept
+                   << " type=" << static_cast<int>(type));
+      EXPECT_TRUE(NaiveSelect(*fx.relation, type, q)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_TRUE(fx.index->Select(type, q, QueryMethod::kT2)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_TRUE(RTreeSelect(rplus.get(), fx.relation.get(), type, q)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_TRUE(RTreeSelect(guttman.get(), fx.relation.get(), type, q)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_TRUE(RTreeSelect(quad.get(), fx.relation.get(), type, q)
+                      .status()
+                      .IsInvalidArgument());
+    }
+  }
+
+  // An infinite intercept stays a legal (degenerate) half-plane.
+  const HalfPlaneQuery everything(0.5, -inf, Cmp::kGE);
+  Result<std::vector<TupleId>> all =
+      NaiveSelect(*fx.relation, SelectionType::kAll, everything);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value().size(), rects.size());
+  Result<std::vector<TupleId>> via_rtree = RTreeSelect(
+      rplus.get(), fx.relation.get(), SelectionType::kAll, everything);
+  ASSERT_TRUE(via_rtree.ok()) << via_rtree.status().ToString();
+  EXPECT_EQ(via_rtree.value(), all.value());
+  ExpectNoPinnedFrames(*rplus_pager);
+  ExpectNoPinnedFrames(*guttman_pager);
+  ExpectNoPinnedFrames(*quad_pager);
 }
 
 }  // namespace

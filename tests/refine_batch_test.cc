@@ -1,13 +1,13 @@
-// Differential and fault coverage for the shared candidate-batch refiner
-// (ISSUE 8): the batched page-clustered / SoA / bounding-box path must be
-// decision-identical to the historical scalar loop and to the naive
-// evaluator across ALL/EXIST and both comparison senses (bounded and
+// Differential and fault coverage for the shared candidate-batch refiner:
+// the page-clustered / SoA / bounding-box path must be decision-identical
+// to NaiveSelect across ALL/EXIST and both comparison senses (bounded and
 // unbounded tuples); FilterCounts partitions must balance — including the
 // abandoned bucket when a deadline or cancellation fires at page
-// granularity; refine-off queries must return proven candidate supersets;
-// injected tuple-read faults must surface as per-item kUnavailable with no
-// leaked pins; and a stale bounding-box sidecar must be caught by
-// CheckDatabase's relation.bbox_sidecar phase.
+// granularity; a cold refinement must read each undecided candidate's
+// tuple page exactly once; refine-off queries must return proven candidate
+// supersets; injected tuple-read faults must surface as per-item
+// kUnavailable with no leaked pins; and a stale bounding-box sidecar must
+// be caught by CheckDatabase's relation.bbox_sidecar phase.
 
 #include "constraint/refine_batch.h"
 
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -36,21 +37,6 @@ namespace cdb {
 namespace {
 
 using FaultPlan = FaultInjectionFile::FaultPlan;
-
-// Restores the process-wide batching toggle on scope exit so a failing
-// assertion in one test cannot leak scalar mode into the next.
-class ScopedBatching {
- public:
-  explicit ScopedBatching(bool enabled) : prev_(RefineBatchingEnabled()) {
-    SetRefineBatchingEnabled(enabled);
-  }
-  ~ScopedBatching() { SetRefineBatchingEnabled(prev_); }
-  ScopedBatching(const ScopedBatching&) = delete;
-  ScopedBatching& operator=(const ScopedBatching&) = delete;
-
- private:
-  bool prev_;
-};
 
 std::unique_ptr<Pager> MakePager() {
   PagerOptions opts;
@@ -122,65 +108,53 @@ std::vector<std::pair<SelectionType, HalfPlaneQuery>> QuerySweep() {
   return out;
 }
 
-// --- Differential: batched vs scalar vs naive --------------------------------
+// --- Differential: refiner vs NaiveSelect -----------------------------------
 
-TEST(RefineBatchTest, BatchedMatchesScalarAndNaiveAcrossFamilies) {
+TEST(RefineBatchTest, RefinerMatchesNaiveAcrossFamilies) {
   RefineFixture fx;
   obs::GlobalMetrics().SetEnabled(true);
   obs::Counter* lp = obs::GlobalMetrics().counter("dual.refine.lp_calls");
+  obs::Counter* bbox_accepts =
+      obs::GlobalMetrics().counter("refine.batch.bbox_accepts");
+  obs::Counter* bbox_rejects =
+      obs::GlobalMetrics().counter("refine.batch.bbox_rejects");
 
   for (const auto& [type, q] : QuerySweep()) {
     Result<std::vector<TupleId>> truth = NaiveSelect(*fx.relation, type, q);
     ASSERT_TRUE(truth.ok()) << truth.status().ToString();
 
     for (QueryMethod method : {QueryMethod::kT1, QueryMethod::kT2}) {
-      QueryStats batched_stats;
-      uint64_t lp_before = lp->value();
-      Result<std::vector<TupleId>> batched = [&] {
-        ScopedBatching on(true);
-        return fx.index->Select(type, q, method, &batched_stats);
-      }();
-      uint64_t batched_lp = lp->value() - lp_before;
+      QueryStats stats;
+      const uint64_t lp_before = lp->value();
+      const uint64_t box_before = bbox_accepts->value() + bbox_rejects->value();
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, method, &stats);
+      const uint64_t lp_calls = lp->value() - lp_before;
+      const uint64_t box_decisions =
+          bbox_accepts->value() + bbox_rejects->value() - box_before;
 
-      QueryStats scalar_stats;
-      lp_before = lp->value();
-      Result<std::vector<TupleId>> scalar = [&] {
-        ScopedBatching off(false);
-        return fx.index->Select(type, q, method, &scalar_stats);
-      }();
-      uint64_t scalar_lp = lp->value() - lp_before;
-
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-      EXPECT_EQ(batched.value(), truth.value())
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), truth.value())
           << "type=" << static_cast<int>(type) << " slope=" << q.slope
           << " b=" << q.intercept << " method=" << static_cast<int>(method);
-      EXPECT_EQ(scalar.value(), truth.value());
-      EXPECT_TRUE(std::is_sorted(batched.value().begin(),
-                                 batched.value().end()));
-
-      EXPECT_TRUE(batched_stats.filter.Balances());
-      EXPECT_TRUE(scalar_stats.filter.Balances());
-      // Box decisions move accepts between buckets (early vs refine) and
-      // skip LPs, but never change a decision: the accept total, the
-      // reject bucket, and the candidate population are identical.
-      EXPECT_EQ(batched_stats.filter.candidates,
-                scalar_stats.filter.candidates);
-      EXPECT_EQ(batched_stats.filter.early_accepts +
-                    batched_stats.filter.refine_accepts,
-                scalar_stats.filter.early_accepts +
-                    scalar_stats.filter.refine_accepts);
-      EXPECT_EQ(batched_stats.filter.refine_rejects,
-                scalar_stats.filter.refine_rejects);
-      EXPECT_EQ(batched_stats.filter.abandoned, 0u);
-      EXPECT_LE(batched_lp, scalar_lp);
+      EXPECT_TRUE(std::is_sorted(got.value().begin(), got.value().end()));
+      EXPECT_TRUE(stats.filter.Balances());
+      EXPECT_EQ(stats.filter.abandoned, 0u);
+      // Every deduplicated candidate is decided exactly once: by its box
+      // or by one LP. Box decisions move accepts from refine_accepts to
+      // early_accepts but never change one.
+      EXPECT_EQ(lp_calls + box_decisions,
+                stats.filter.candidates - stats.filter.dedup_dropped);
+      EXPECT_EQ(stats.filter.early_accepts + stats.filter.refine_accepts,
+                truth.value().size());
+      EXPECT_EQ(stats.filter.refine_rejects, stats.false_hits);
       fx.CheckClean();
     }
   }
   obs::GlobalMetrics().SetEnabled(false);
 }
 
-// --- Direct refiner: booking, ordering, box short-circuits -------------------
+// --- Direct refiner: booking, ordering, box short-circuits, cold reads -------
 
 TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
   RefineFixture fx;
@@ -198,24 +172,19 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
     obs::FilterCounts filter;
     uint64_t false_hits = 0;
     uint64_t lp_calls = 0;
-    uint64_t page_reads = 0;
   };
-  auto run = [&](SelectionType type, const HalfPlaneQuery& q, bool batched) {
-    ScopedBatching mode(batched);
+  auto refine = [&](SelectionType type, const HalfPlaneQuery& q,
+                    std::vector<TupleId> ids) {
     Run r;
-    r.kept = all_ids;
-    // Cold cache so physical reads are comparable between modes.
-    EXPECT_TRUE(fx.rel_pager->Flush().ok());
-    EXPECT_TRUE(fx.rel_pager->DropCache().ok());
-    IoStats before = fx.rel_pager->stats();
-    uint64_t lp_before = lp->value();
+    r.kept = std::move(ids);
+    const uint64_t candidates = r.kept.size();
+    const uint64_t lp_before = lp->value();
     EXPECT_TRUE(RefineBatch2D(*fx.relation, type, q, lp, /*ctx=*/nullptr,
                               &r.kept, &r.filter, &r.false_hits)
                     .ok());
-    r.filter.candidates = all_ids.size();
+    r.filter.candidates = candidates;
     r.filter.results = r.filter.early_accepts + r.filter.refine_accepts;
     r.lp_calls = lp->value() - lp_before;
-    r.page_reads = fx.rel_pager->stats().Delta(before).page_reads;
     fx.CheckClean();
     return r;
   };
@@ -235,39 +204,49 @@ TEST(RefineBatchTest, DirectRefinerBooksPartitionsAndSkipsBoxDecided) {
       {SelectionType::kExist, HalfPlaneQuery(0.9, -3.0, Cmp::kLE), false},
   };
   for (const auto& c : cases) {
-    uint64_t accepts_before = bbox_accepts->value();
-    uint64_t rejects_before = bbox_rejects->value();
-    Run batched = run(c.type, c.q, /*batched=*/true);
-    uint64_t box_accepts = bbox_accepts->value() - accepts_before;
-    uint64_t box_rejects = bbox_rejects->value() - rejects_before;
-    Run scalar = run(c.type, c.q, /*batched=*/false);
-
     Result<std::vector<TupleId>> truth =
         NaiveSelect(*fx.relation, c.type, c.q);
     ASSERT_TRUE(truth.ok());
-    EXPECT_EQ(batched.kept, truth.value());
-    EXPECT_EQ(scalar.kept, truth.value());
-    EXPECT_TRUE(std::is_sorted(batched.kept.begin(), batched.kept.end()));
 
-    EXPECT_TRUE(batched.filter.Balances());
-    EXPECT_TRUE(scalar.filter.Balances());
-    EXPECT_EQ(batched.false_hits, batched.filter.refine_rejects);
-    EXPECT_EQ(scalar.filter.early_accepts, 0u);
-    EXPECT_EQ(batched.filter.early_accepts, box_accepts);
-    EXPECT_EQ(batched.filter.early_accepts + batched.filter.refine_accepts,
-              scalar.filter.refine_accepts);
-    EXPECT_EQ(batched.filter.refine_rejects, scalar.filter.refine_rejects);
+    // A candidate refined alone runs an LP exactly when its box leaves it
+    // undecided; collect the tuple pages those candidates live on.
+    std::set<PageId> undecided_pages;
+    for (TupleId id : all_ids) {
+      if (refine(c.type, c.q, {id}).lp_calls == 0) continue;
+      PageId pid;
+      ASSERT_TRUE(fx.relation->LocateTuple(id, &pid).ok());
+      undecided_pages.insert(pid);
+    }
 
-    // Every box decision is an LP the batched path never ran.
-    EXPECT_EQ(batched.lp_calls + box_accepts + box_rejects, scalar.lp_calls);
+    // Cold cache: every physical read below is the refiner's own.
+    ASSERT_TRUE(fx.rel_pager->Flush().ok());
+    ASSERT_TRUE(fx.rel_pager->DropCache().ok());
+    const IoStats before = fx.rel_pager->stats();
+    const uint64_t accepts_before = bbox_accepts->value();
+    const uint64_t rejects_before = bbox_rejects->value();
+    Run r = refine(c.type, c.q, all_ids);
+    const uint64_t page_reads = fx.rel_pager->stats().Delta(before).page_reads;
+    const uint64_t box_accepts = bbox_accepts->value() - accepts_before;
+    const uint64_t box_rejects = bbox_rejects->value() - rejects_before;
+
+    EXPECT_EQ(r.kept, truth.value());
+    EXPECT_TRUE(std::is_sorted(r.kept.begin(), r.kept.end()));
+    EXPECT_TRUE(r.filter.Balances());
+    EXPECT_EQ(r.false_hits, r.filter.refine_rejects);
+    EXPECT_EQ(r.filter.early_accepts, box_accepts);
+    EXPECT_EQ(r.filter.early_accepts + r.filter.refine_accepts,
+              truth.value().size());
+    // Every candidate is decided once: by its box or by one LP.
+    EXPECT_EQ(r.lp_calls + box_accepts + box_rejects, all_ids.size());
     if (c.expect_box_accepts) {
       EXPECT_GT(box_accepts, 0u) << "slope=" << c.q.slope;
     } else if (c.type == SelectionType::kExist) {
       EXPECT_GT(box_rejects, 0u) << "slope=" << c.q.slope;
     }
-    // Page clustering + box short-circuits never read more than the
-    // per-candidate loop.
-    EXPECT_LE(batched.page_reads, scalar.page_reads);
+    // One physical read per distinct page among the undecided candidates:
+    // box-decided candidates are never fetched, and a page is pinned once
+    // for its whole run of candidates.
+    EXPECT_EQ(page_reads, undecided_pages.size()) << "slope=" << c.q.slope;
   }
   obs::GlobalMetrics().SetEnabled(false);
 }
@@ -283,27 +262,18 @@ TEST(RefineBatchTest, RefineOffReturnsProvenSuperset) {
     Result<std::vector<TupleId>> truth = NaiveSelect(*fx.relation, type, q);
     ASSERT_TRUE(truth.ok());
     for (QueryMethod method : {QueryMethod::kT1, QueryMethod::kT2}) {
-      QueryStats on_stats, off_stats;
-      Result<std::vector<TupleId>> with_batching = [&] {
-        ScopedBatching on(true);
-        return fx.index->Select(type, q, method, &on_stats);
-      }();
-      Result<std::vector<TupleId>> without_batching = [&] {
-        ScopedBatching off(false);
-        return fx.index->Select(type, q, method, &off_stats);
-      }();
-      ASSERT_TRUE(with_batching.ok());
-      ASSERT_TRUE(without_batching.ok());
-      // The refiner never runs, so the toggle cannot change the candidate
-      // superset — and that superset must contain every true result.
-      EXPECT_EQ(with_batching.value(), without_batching.value());
-      EXPECT_TRUE(std::includes(with_batching.value().begin(),
-                                with_batching.value().end(),
+      QueryStats stats;
+      Result<std::vector<TupleId>> got =
+          fx.index->Select(type, q, method, &stats);
+      ASSERT_TRUE(got.ok());
+      // The refiner never runs, so the candidate superset must contain
+      // every true result.
+      EXPECT_TRUE(std::includes(got.value().begin(), got.value().end(),
                                 truth.value().begin(), truth.value().end()))
           << "refine-off candidates dropped a true result: slope=" << q.slope
           << " b=" << q.intercept;
-      EXPECT_EQ(on_stats.false_hits, 0u);
-      EXPECT_TRUE(on_stats.filter.Balances());
+      EXPECT_EQ(stats.false_hits, 0u);
+      EXPECT_TRUE(stats.filter.Balances());
       fx.CheckClean();
     }
   }
@@ -322,7 +292,6 @@ class TickingClock final : public obs::Clock {
 };
 
 TEST(RefineBatchTest, BatchedDeadlineAtEveryCheckpointKeepsBalance) {
-  ScopedBatching on(true);
   RefineFixture fx;
   HalfPlaneQuery q(0.37, 5.0, Cmp::kGE);
 
@@ -366,7 +335,6 @@ TEST(RefineBatchTest, BatchedDeadlineAtEveryCheckpointKeepsBalance) {
 }
 
 TEST(RefineBatchTest, PreCancelledTokenAbandonsWholeBatch) {
-  ScopedBatching on(true);
   RefineFixture fx;
   CancelToken token;
   token.Cancel();
@@ -476,7 +444,6 @@ struct FaultRig {
 };
 
 TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
-  ScopedBatching on(true);
   FaultRig rig(/*max_read_attempts=*/1);
 
   rig.DropCaches();
@@ -508,7 +475,6 @@ TEST(RefineBatchTest, TransientTupleReadFaultAtEveryIndexDegradesCleanly) {
 }
 
 TEST(RefineBatchTest, TransientTupleReadSweepIsCleanWithOneRetry) {
-  ScopedBatching on(true);
   FaultRig rig(/*max_read_attempts=*/2);
 
   rig.DropCaches();
